@@ -1,9 +1,8 @@
-//! Runner-scaling wall-clock benchmark (ROADMAP "criterion wiring" item).
+//! Runner-scaling wall-clock benchmark.
 //!
 //! Measures the campaign [`themis::api::Runner`] executing the same
 //! run matrix sequentially and with `parallel_threads(n)` for n = 1, 2, 4, 8,
-//! using the built-in wall-clock harness (no criterion: the build environment
-//! is offline). Emits a `BENCH_runner.json` report and prints a summary
+//! using the built-in wall-clock harness ([`themis_bench::harness`]). Emits a `BENCH_runner.json` report and prints a summary
 //! table.
 //!
 //! Usage:

@@ -250,14 +250,14 @@ impl MatrixResult {
 }
 
 /// Baseline configuration: schedule cache off, op-log recording on, and the
-/// heap-backed reference event loops ([`SimOptions::with_reference_engine`])
+/// heap-backed reference event loop ([`SimOptions::with_reference_engine`])
 /// — the path every run paid before the hot-path overhaul, so the measured
 /// ratio includes the data-oriented event-loop rewrite.
 fn baseline_runner() -> Runner {
     Runner::sequential().with_schedule_cache(false)
 }
 
-/// Sim options of the baseline configuration (reference engines, op-log on).
+/// Sim options of the baseline configuration (reference loop, op-log on).
 fn baseline_options() -> SimOptions {
     SimOptions::default().with_reference_engine(true)
 }

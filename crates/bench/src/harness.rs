@@ -1,9 +1,9 @@
 //! A tiny built-in wall-clock benchmark harness.
 //!
-//! The build environment is offline, so criterion cannot be vendored; this
-//! module provides the small subset the ROADMAP's runner-scaling benches
-//! need: run a closure a fixed number of times, collect per-iteration wall
-//! times, and report min/median/mean/max. No statistics beyond that — the
+//! The workspace takes no external dependencies, so there is no criterion;
+//! this module provides the small subset the runner-scaling benches need:
+//! run a closure a fixed number of times, collect per-iteration wall times,
+//! and report min/median/mean/max. No statistics beyond that — the
 //! harness exists to catch order-of-magnitude regressions in CI smoke runs
 //! and to produce comparable numbers locally, not to replace criterion.
 

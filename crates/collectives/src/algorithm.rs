@@ -7,7 +7,6 @@ use themis_net::TopologyKind;
 
 /// The basic, contention-free collective algorithm run on a single dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AlgorithmKind {
     /// Ring algorithm: `P−1` steps per phase, bandwidth-optimal.
     Ring,

@@ -25,7 +25,6 @@ use themis_net::{DimensionSpec, TopologyKind};
 /// per-collective delay (`A_K`) on switch dimensions. The reduction factors
 /// are expressed as multipliers in `(0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OffloadConfig {
     /// Multiplier applied to the bytes-on-wire on switch dimensions.
     pub traffic_factor: f64,
@@ -56,7 +55,6 @@ impl OffloadConfig {
 
 /// The predicted cost of one chunk phase op on one dimension.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChunkCost {
     /// Fixed delay `A_K` in nanoseconds (steps × step latency).
     pub fixed_delay_ns: f64,
@@ -81,7 +79,6 @@ impl ChunkCost {
 
 /// Evaluates the Sec. 4.4 latency model on dimensions of a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     offload: Option<OffloadConfig>,
 }

@@ -4,7 +4,6 @@ use std::fmt;
 
 /// A collective communication pattern requested by the training workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CollectiveKind {
     /// Globally reduce data so every NPU ends with the full reduced buffer.
     /// Decomposes into a Reduce-Scatter followed by an All-Gather.
@@ -72,7 +71,6 @@ impl fmt::Display for CollectiveKind {
 /// A phase operation executed on a *single* network dimension: one stage of
 /// the `2×D`-stage pipeline of Sec. 2.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PhaseOp {
     /// Reduce-Scatter stage: the resident chunk size shrinks by the dimension
     /// size `P` after this op.

@@ -22,7 +22,6 @@ use themis_net::NetworkTopology;
 /// The enforced intra-dimension execution order: for every dimension, the
 /// ordered list of `(chunk_index, stage_index)` operations it must execute.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnforcedOrder {
     per_dim: Vec<Vec<(usize, usize)>>,
 }

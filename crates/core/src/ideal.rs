@@ -10,7 +10,6 @@ use themis_net::NetworkTopology;
 
 /// Computes the 100 %-utilisation lower bound on communication time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdealEstimator;
 
 impl IdealEstimator {

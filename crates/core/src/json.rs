@@ -1,8 +1,7 @@
 //! A minimal, dependency-free JSON representation shared by the workspace.
 //!
-//! The build environment of this reproduction is fully offline, so the usual
-//! `serde`/`serde_json` pair is unavailable (the workspace's `serde` feature
-//! is a stub gate). This module implements the small subset the workspace
+//! The workspace takes no external dependencies, so the usual
+//! `serde`/`serde_json` pair is unavailable. This module implements the small subset the workspace
 //! needs: a [`Json`] value tree, a writer, and a strict recursive-descent
 //! parser. Floats are written with Rust's shortest round-trip `Display`, so a
 //! serialize → parse cycle reproduces bit-identical values.

@@ -9,7 +9,6 @@ use crate::error::ScheduleError;
 
 /// Per-dimension accumulated load in nanoseconds.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DimLoadTracker {
     loads: Vec<f64>,
 }

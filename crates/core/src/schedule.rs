@@ -7,7 +7,6 @@ use themis_net::{DataSize, NetworkTopology};
 
 /// A collective operation requested by the training workload (Fig. 6, step 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CollectiveRequest {
     kind: CollectiveKind,
     size: DataSize,
@@ -44,7 +43,6 @@ impl fmt::Display for CollectiveRequest {
 
 /// One stage of a chunk's pipeline: a phase op executed on a dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StageOp {
     /// Network dimension index (0-based; dim 0 is the paper's "dim1").
     pub dim: usize,
@@ -78,7 +76,6 @@ impl fmt::Display for StageOp {
 /// The pipeline schedule of a single chunk: the ordered list of stage ops it
 /// traverses, plus its initial size.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChunkSchedule {
     /// Index of the chunk within its collective (0-based).
     pub chunk_index: usize,
@@ -218,7 +215,6 @@ impl ChunkSchedule {
 /// The full schedule of one collective: one [`ChunkSchedule`] per chunk plus
 /// the intra-dimension execution policy.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CollectiveSchedule {
     request: CollectiveRequest,
     scheduler_name: String,
@@ -228,7 +224,6 @@ pub struct CollectiveSchedule {
     /// is immutable after construction, so the chunk walk is paid once per
     /// schedule instead of once per cost-table cache lookup. Excluded from
     /// equality and (de)serialisation — it is derived content.
-    #[cfg_attr(feature = "serde", serde(skip))]
     cost_fingerprint: std::sync::OnceLock<u64>,
 }
 

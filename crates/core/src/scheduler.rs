@@ -59,7 +59,6 @@ pub trait CollectiveScheduler {
 /// Convenience selector for the scheduling configurations evaluated in the
 /// paper (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerKind {
     /// Multi-rail hierarchical baseline with FIFO intra-dimension scheduling.
     Baseline,

@@ -6,7 +6,6 @@ use themis_net::DataSize;
 
 /// Splits collectives into equally sized chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Splitter {
     chunks_per_collective: usize,
 }

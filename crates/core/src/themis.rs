@@ -25,7 +25,6 @@ use themis_net::NetworkTopology;
 
 /// Configuration of the Themis scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThemisConfig {
     /// Number of chunks each collective is split into (paper default: 64).
     pub chunks_per_collective: usize,

@@ -20,7 +20,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!(bw.as_bytes_per_ns(), 100.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bandwidth {
     gbps: f64,
 }
@@ -134,7 +133,6 @@ impl Sum for Bandwidth {
 /// assert_eq!(size.as_bytes(), 256 * 1024 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataSize {
     bytes: u64,
 }

@@ -21,7 +21,6 @@ use std::fmt;
 /// | FullyConnected  | Direct               |
 /// | Switch          | Halving-Doubling     |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologyKind {
     /// NPUs connected in a physical ring (e.g., intra-package links).
     Ring,
@@ -65,7 +64,6 @@ impl fmt::Display for TopologyKind {
 /// *aggregate* per-NPU bandwidth (the "Aggr BW/NPU" column of Table 2) is
 /// their product.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DimensionSpec {
     kind: TopologyKind,
     size: usize,

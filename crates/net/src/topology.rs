@@ -14,7 +14,6 @@ use std::fmt;
 /// Flat identifier of an NPU within a topology (row-major over dimensions,
 /// with dimension 0 varying fastest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NpuId(pub usize);
 
 impl fmt::Display for NpuId {
@@ -25,7 +24,6 @@ impl fmt::Display for NpuId {
 
 /// Per-dimension coordinates of an NPU.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NpuCoord(pub Vec<usize>);
 
 impl NpuCoord {
@@ -50,7 +48,6 @@ impl fmt::Display for NpuCoord {
 
 /// A multi-dimensional training-platform network (Fig. 1 of the paper).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkTopology {
     name: String,
     dims: Vec<DimensionSpec>,

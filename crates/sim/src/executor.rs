@@ -72,8 +72,9 @@ impl<'a> CollectiveExecutor<'a> {
 
     /// Like [`CollectiveExecutor::run_kind`], but scheduling through a shared
     /// [`SimPlanCache`]: the schedule, the splitter output (shared across
-    /// scheduler kinds) and the per-op cost table are all served from the
-    /// plan when warm. Bit-identical to the uncached path.
+    /// scheduler kinds), the per-op cost table and any fault-epoch cost
+    /// tables are all served from the plan when warm. Bit-identical to the
+    /// uncached path.
     ///
     /// # Errors
     ///
@@ -97,7 +98,7 @@ impl<'a> CollectiveExecutor<'a> {
         let table =
             plan.cost_tables()
                 .get_or_build(self.topo, simulator.cost_model(), &schedule)?;
-        simulator.run_planned(&schedule, &table, workspace, None)
+        simulator.run_planned(&schedule, &table, workspace, Some(plan.cost_tables()))
     }
 
     /// Runs `request` under all three Table 3 scheduler configurations and
@@ -180,6 +181,35 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(plan.schedules().hits(), 1);
         assert_eq!(plan.cost_tables().hits(), 1);
+    }
+
+    #[test]
+    fn faulted_planned_runs_serve_epoch_tables_from_the_plan() {
+        use crate::faults::FaultPlan;
+        let topo = PresetTopology::Sw2d.build();
+        let faults = FaultPlan::new()
+            .degrade(5_000.0, 0, 0.5)
+            .degrade(20_000.0, 1, 0.25);
+        let executor =
+            CollectiveExecutor::new(&topo).with_options(SimOptions::default().with_faults(faults));
+        let request = CollectiveRequest::all_reduce_mib(64.0);
+        let plan = SimPlanCache::new();
+        let mut ws = SimWorkspace::new();
+        let first = executor
+            .run_kind_planned(SchedulerKind::ThemisScf, 8, &request, &plan, &mut ws)
+            .unwrap();
+        // The base table plus one table per degraded epoch.
+        assert_eq!(plan.cost_tables().len(), 3);
+        let misses = plan.cost_tables().misses();
+        let second = executor
+            .run_kind_planned(SchedulerKind::ThemisScf, 8, &request, &plan, &mut ws)
+            .unwrap();
+        assert_eq!(first, second);
+        assert_eq!(
+            plan.cost_tables().misses(),
+            misses,
+            "a warm plan must serve every epoch table"
+        );
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //! * [`timeline`] — sequential execution of several collectives (used by the
 //!   training-loop model); a thin back-to-back policy over the stream engine.
 //!
+//! Every simulation runs through one data-oriented event loop in
+//! [`stream::engine`]: a single collective is the one-entry, issued-at-zero
+//! case of a stream, run by the loop's single-collective instantiation. The
+//! original heap-backed loop stays as the differential oracle behind
+//! [`SimOptions::reference_engine`].
+//!
 //! ```
 //! use themis_core::{CollectiveRequest, CollectiveScheduler, ThemisScheduler};
 //! use themis_net::presets::PresetTopology;
@@ -49,9 +55,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calendar;
 pub mod cancel;
-pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod faults;
@@ -65,9 +69,7 @@ pub mod timeline;
 pub mod trace;
 pub mod workspace;
 
-pub use calendar::CalendarQueue;
 pub use cancel::CancelToken;
-pub use engine::{EventQueue, ScheduledEvent};
 pub use error::SimError;
 pub use executor::CollectiveExecutor;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};

@@ -5,7 +5,6 @@ use crate::faults::FaultPlan;
 
 /// Options controlling the chunk-pipeline simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimOptions {
     /// Maximum number of chunk operations a dimension executes concurrently.
     ///
@@ -43,19 +42,20 @@ pub struct SimOptions {
     /// means a healthy fabric, and the engines take their exact original
     /// float paths — reports are bit-identical to a fault-free build.
     pub faults: FaultPlan,
-    /// If `true`, both engines run their original heap-backed scan loops
-    /// (the pre-rewrite reference implementation) instead of the
-    /// data-oriented fast loops that replaced them on the default path.
+    /// If `true`, simulations run the original heap-backed merged loop (the
+    /// pre-rewrite reference implementation) instead of the data-oriented
+    /// loop that replaced it on the default path — for single collectives
+    /// and streams alike.
     ///
-    /// The fast engines keep per-op state in flat structure-of-arrays keyed
-    /// by the dense ids the [`themis_core::plan::CostTable`] assigns, replace
+    /// The fast loop keeps per-op state in flat structure-of-arrays keyed by
+    /// the dense ids the [`themis_core::plan::CostTable`] assigns, replaces
     /// the Smallest-Chunk-First binary heaps with calendar-style cost-bucket
-    /// queues, and skip all bookkeeping for quiescent dimensions — but they
-    /// execute the exact same sequence of floating-point operations, so
+    /// queues, and skips all bookkeeping for quiescent dimensions — but it
+    /// executes the exact same sequence of floating-point operations, so
     /// reports are **bit-identical** either way (enforced by the
     /// `differential` and `engine_equivalence` test suites). The flag exists
     /// so the differential harness — and any suspicious user — can drive
-    /// both paths; it is `false` by default and costs nothing when unused.
+    /// both loops; it is `false` by default and costs nothing when unused.
     pub reference_engine: bool,
 }
 
@@ -141,7 +141,7 @@ impl SimOptions {
     }
 
     /// Builder-style setter for the reference-engine path (the original
-    /// heap-backed scan loops). Reports are bit-identical either way; the
+    /// heap-backed merged loop). Reports are bit-identical either way; the
     /// reference path is simply slower.
     #[must_use]
     pub fn with_reference_engine(mut self, reference: bool) -> Self {

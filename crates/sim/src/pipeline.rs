@@ -7,51 +7,24 @@
 //! simulator reproduces the pipeline behaviour of Fig. 5, including the idle
 //! (bubble) time that appears on over-provisioned dimensions under the
 //! baseline scheduling.
+//!
+//! A single collective is the one-entry case of a stream issued at t = 0, so
+//! the simulator owns no event loop: it validates its inputs and runs the
+//! single-collective instantiation of the stream engine's loop
+//! ([`crate::stream`]), in the single-run frame — t = 0 is the origin and
+//! `total_time_ns` is the finish time, even when every first-stage dimension
+//! is blocked at t = 0 (a stream span would start at its first issue).
 
 use crate::error::SimError;
-use crate::faults::FaultTimeline;
 use crate::options::SimOptions;
-use crate::readyq::{ReadyKey, ReadyQueue};
-use crate::soa::{self, BitIter, Completion, Lane, LaneKind};
-use crate::stats::{LabelInterner, RawOp, SimReport};
-use crate::workspace::{LoopCounters, SimWorkspace};
+use crate::stats::SimReport;
+use crate::stream::engine::Engine;
+use crate::workspace::SimWorkspace;
 use std::sync::Arc;
 use themis_collectives::CostModel;
 use themis_core::plan::{CostTable, CostTableCache};
-use themis_core::{enforced_intra_dim_order, CollectiveSchedule, IntraDimPolicy};
+use themis_core::{CollectiveSchedule, IntraDimPolicy};
 use themis_net::NetworkTopology;
-
-/// Maximum number of zero-progress iterations tolerated before declaring the
-/// simulation stalled.
-const STALL_GUARD: usize = 64;
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingOp {
-    arrival: u64,
-    chunk: usize,
-    stage: usize,
-    /// The op's transfer time on its dimension — the Smallest-Chunk-First
-    /// cost key, stored inline at enqueue time so the ready queue orders ops
-    /// without chasing the cost table.
-    cost_ns: f64,
-}
-
-impl ReadyKey for PendingOp {
-    fn arrival(&self) -> u64 {
-        self.arrival
-    }
-    fn cost_ns(&self) -> f64 {
-        self.cost_ns
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ActiveOp {
-    chunk: usize,
-    stage: usize,
-    remaining_work_ns: f64,
-    start_ns: f64,
-}
 
 /// Simulates the execution of collective schedules on a fixed topology.
 #[derive(Debug, Clone)]
@@ -212,673 +185,15 @@ impl<'a> PipelineSimulator<'a> {
                     .mark_validated(schedule_arc, table_arc, self.topo.num_dims());
             }
         }
-        // An empty plan compiles to nothing at all: no boundary exists, no
-        // delta is capped and the base table prices every op, so the loop
-        // below walks its exact original float path (bit-identity).
-        let fault_timeline: Option<FaultTimeline> = if self.options.faults.is_empty() {
-            None
-        } else {
-            Some(
-                self.options
-                    .faults
-                    .compile(self.topo, &self.cost, schedule, plan_cache)?,
-            )
-        };
-        // The data-oriented loop keys its dimension state by bit position in
-        // `u64` masks; the (never seen in practice) >64-dimension case falls
-        // back to the reference loop, as does an explicit
-        // [`SimOptions::reference_engine`] request.
-        if self.options.reference_engine || self.topo.num_dims() > 64 {
-            self.run_reference(schedule, table, workspace, fault_timeline)
-        } else {
-            self.run_fast(schedule, table, workspace, fault_timeline, shared)
+        // The loop compiles the fault plan with this simulator's cost model;
+        // an empty plan compiles to nothing and the loop walks its exact
+        // fault-free float path.
+        Engine {
+            topo: self.topo,
+            options: &self.options,
+            cost: &self.cost,
         }
-    }
-
-    /// The original heap-backed scan loop, kept verbatim as the reference
-    /// implementation behind [`SimOptions::reference_engine`]. The fast loop
-    /// in [`PipelineSimulator::run_fast`] must stay bit-identical to this one
-    /// — the `differential` and `engine_equivalence` suites enforce it.
-    fn run_reference(
-        &self,
-        schedule: &CollectiveSchedule,
-        table: &CostTable,
-        workspace: &mut SimWorkspace,
-        fault_timeline: Option<FaultTimeline>,
-    ) -> Result<SimReport, SimError> {
-        let mut epoch = 0usize;
-
-        let num_dims = self.topo.num_dims();
-        let chunks = schedule.chunks();
-        let policy = schedule.intra_dim_policy();
-
-        // Optional Sec. 4.6.2 enforced intra-dimension order.
-        let enforced = if self.options.enforce_intra_dim_order {
-            Some(enforced_intra_dim_order(schedule, self.topo)?)
-        } else {
-            None
-        };
-
-        let mut report = SimReport::empty(
-            self.topo,
-            schedule.scheduler_name(),
-            self.options.activity_window_ns,
-        );
-
-        workspace.prepare_pipeline(num_dims, policy, enforced.is_some());
-        // Telemetry accumulates locally (queue-depth watermarks in the
-        // workspace scratch, busy/idle already in the report) and flushes once
-        // after the loop; when disabled not even the clock is read. Either
-        // way the simulated floats are untouched, so reports stay
-        // bit-identical.
-        let telemetry_on = workspace.telemetry.enabled();
-        if telemetry_on {
-            workspace.telemetry.ensure_dims(num_dims);
-        }
-        let loop_started = telemetry_on.then(std::time::Instant::now);
-        // Cloned out before the destructure; absent a token the per-iteration
-        // check is one `Option` test and the float path is untouched.
-        let cancel = workspace.cancel.clone();
-        let mut cancel_iter: u64 = 0;
-        let SimWorkspace {
-            pipe_ready: ready,
-            pipe_active: active,
-            // Time each dimension last finished executing an op; used to
-            // decide whether a newly started op pays the fixed delay `A_K`
-            // (Sec. 4.4 charges `A_K` per dimension, not per chunk: chunks
-            // that pipeline back-to-back hide the per-step latency of their
-            // successors).
-            pipe_last_busy_end: last_busy_end,
-            pipe_order_ptr: order_ptr,
-            pipe_completions: completions,
-            raw_ops,
-            telemetry,
-            depth_scratch,
-            ..
-        } = workspace;
-        let mut arrival: u64 = 0;
-        let mut now = 0.0f64;
-        let mut outstanding = 0usize;
-        let mut stall_counter = 0usize;
-
-        // Ready-queue cost keys (Smallest-Chunk-First ordering) are priced at
-        // ready time: chunks seeded before the first op use the initial
-        // epoch's table.
-        let seed_table = match &fault_timeline {
-            Some(timeline) => timeline.epochs()[0].table.as_deref().unwrap_or(table),
-            None => table,
-        };
-        for (chunk_idx, chunk) in chunks.iter().enumerate() {
-            outstanding += chunk.stages.len();
-            if let Some(first) = chunk.stages.first() {
-                ready[first.dim].push(PendingOp {
-                    arrival,
-                    chunk: chunk_idx,
-                    stage: 0,
-                    cost_ns: seed_table.cost(chunk_idx, 0).transfer_ns,
-                });
-                arrival += 1;
-            }
-        }
-
-        while outstanding > 0 {
-            if let Some(token) = &cancel {
-                if token.should_stop(cancel_iter) {
-                    return Err(SimError::Cancelled { at_ns: now });
-                }
-                cancel_iter += 1;
-            }
-            // The fabric state of the current fault epoch: the table pricing
-            // newly issued ops, the per-dimension issuance block, and the
-            // time of the next boundary (the loop never advances across it in
-            // one step).
-            let (cur_table, blocked, next_fault): (&CostTable, Option<&[bool]>, Option<f64>) =
-                match &fault_timeline {
-                    Some(timeline) => {
-                        let cur = &timeline.epochs()[epoch];
-                        (
-                            cur.table.as_deref().unwrap_or(table),
-                            Some(&cur.blocked),
-                            timeline.epoch_start(epoch + 1),
-                        )
-                    }
-                    None => (table, None, None),
-                };
-
-            // Start as many ops as the concurrency limit and (optionally) the
-            // enforced order allow. Failed dimensions issue nothing; their
-            // ready ops wait for a recovery boundary.
-            for dim in 0..num_dims {
-                if blocked.is_some_and(|blocked| blocked[dim]) {
-                    continue;
-                }
-                while active[dim].len() < self.options.max_concurrent_ops_per_dim
-                    && !ready[dim].is_empty()
-                {
-                    let op = match &enforced {
-                        Some(order) => {
-                            let Some(&(chunk, stage)) = order.for_dim(dim).get(order_ptr[dim])
-                            else {
-                                break;
-                            };
-                            match ready[dim]
-                                .take_matching(|op| op.chunk == chunk && op.stage == stage)
-                            {
-                                Some(op) => {
-                                    order_ptr[dim] += 1;
-                                    op
-                                }
-                                // The next op in the enforced order is not
-                                // ready yet: the dimension must wait.
-                                None => break,
-                            }
-                        }
-                        // The queue is policy-ordered: the pop *is* the
-                        // FIFO/SCF pick of `IntraDimPolicy::pick`.
-                        None => ready[dim].pop_next().expect("ready queue is non-empty"),
-                    };
-                    // Ops price against the table of the epoch they are
-                    // *issued* in; once started they complete at that cost
-                    // even if a fault hits mid-flight.
-                    let cost = cur_table.cost(op.chunk, op.stage);
-                    // Pay the fixed delay only when the dimension is (re)starting
-                    // its pipeline after an idle period; back-to-back chunk ops
-                    // overlap their step latencies with the predecessor's
-                    // transfer.
-                    let resuming_after_idle =
-                        active[dim].is_empty() && now > last_busy_end[dim] + 1e-6;
-                    let starting_cold = last_busy_end[dim] == f64::NEG_INFINITY;
-                    let work_ns = if resuming_after_idle || starting_cold {
-                        cost.work_ns()
-                    } else {
-                        cost.transfer_ns
-                    };
-                    active[dim].push(ActiveOp {
-                        chunk: op.chunk,
-                        stage: op.stage,
-                        remaining_work_ns: work_ns,
-                        start_ns: now,
-                    });
-                }
-            }
-
-            let any_active = active.iter().any(|a| !a.is_empty());
-            if !any_active {
-                // Nothing is executing. If a fault boundary lies ahead (e.g.
-                // every ready op sits on a failed dimension), jump across the
-                // idle gap to it; otherwise the simulation is stuck for good.
-                if let Some(at) = next_fault {
-                    now = at.max(now);
-                    epoch += 1;
-                    continue;
-                }
-                let pending: usize = ready.iter().map(crate::readyq::ReadyQueue::len).sum();
-                return Err(SimError::Stalled {
-                    at_ns: now,
-                    outstanding_ops: pending,
-                });
-            }
-
-            // Time until the earliest completion under processor sharing: an
-            // op with `k` siblings progresses at rate 1/k. Capped by the next
-            // fault boundary so in-flight ops never straddle an epoch switch
-            // unobserved.
-            let mut delta = f64::INFINITY;
-            for dim_active in active.iter() {
-                let k = dim_active.len() as f64;
-                for op in dim_active {
-                    delta = delta.min(op.remaining_work_ns * k);
-                }
-            }
-            let mut advance_to_fault = false;
-            if let Some(at) = next_fault {
-                let gap = (at - now).max(0.0);
-                if gap <= delta {
-                    delta = gap;
-                    advance_to_fault = true;
-                }
-            }
-            if !delta.is_finite() {
-                delta = 0.0;
-            }
-
-            if delta <= 0.0 && !advance_to_fault {
-                stall_counter += 1;
-                if stall_counter > STALL_GUARD {
-                    return Err(SimError::Stalled {
-                        at_ns: now,
-                        outstanding_ops: outstanding,
-                    });
-                }
-            } else {
-                stall_counter = 0;
-            }
-
-            // Account statistics for the segment [now, now + delta).
-            if delta > 0.0 {
-                for (dim, dim_report) in report.dims.iter_mut().enumerate() {
-                    if !active[dim].is_empty() {
-                        dim_report.busy_ns += delta;
-                    }
-                    if !active[dim].is_empty() || !ready[dim].is_empty() {
-                        push_presence(&mut dim_report.presence_intervals, now, now + delta);
-                    }
-                }
-            }
-
-            // Advance all active ops.
-            for dim_active in active.iter_mut() {
-                let k = dim_active.len() as f64;
-                for op in dim_active.iter_mut() {
-                    op.remaining_work_ns -= delta / k;
-                }
-            }
-            now = if advance_to_fault {
-                epoch += 1;
-                next_fault.expect("fault boundary exists when advancing to it")
-            } else {
-                now + delta
-            };
-
-            // Collect completions into the reused scratch buffer (swap-remove,
-            // then a deterministic sort by dimension and chunk — the keys are
-            // unique, so the collection order cannot leak into the results).
-            completions.clear();
-            for (dim, dim_active) in active.iter_mut().enumerate() {
-                let mut index = 0;
-                while index < dim_active.len() {
-                    if dim_active[index].remaining_work_ns <= 1e-6 {
-                        completions.push((dim, dim_active.swap_remove(index)));
-                    } else {
-                        index += 1;
-                    }
-                }
-            }
-            completions.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.chunk.cmp(&b.1.chunk)));
-
-            // Successor ops become ready *after* any epoch switch above, so
-            // their SCF cost keys price against the post-boundary table.
-            // Completion-side accounting keeps the base table: `wire_bytes`
-            // depends on sizes and dimension structure only, never on
-            // bandwidth, so it is identical in every epoch table.
-            let push_table = match &fault_timeline {
-                Some(timeline) => timeline.epochs()[epoch].table.as_deref().unwrap_or(table),
-                None => table,
-            };
-            for &(dim, op) in completions.iter() {
-                let cost = table.cost(op.chunk, op.stage);
-                report.dims[dim].wire_bytes += cost.wire_bytes;
-                report.dims[dim].ops_executed += 1;
-                if self.options.record_op_log {
-                    raw_ops.push(RawOp {
-                        dim,
-                        chunk: op.chunk,
-                        stage: op.stage,
-                        start_ns: op.start_ns,
-                        end_ns: now,
-                    });
-                }
-                last_busy_end[dim] = now;
-                outstanding -= 1;
-                let next_stage = op.stage + 1;
-                if next_stage < chunks[op.chunk].stages.len() {
-                    let target = chunks[op.chunk].stages[next_stage].dim;
-                    ready[target].push(PendingOp {
-                        arrival,
-                        chunk: op.chunk,
-                        stage: next_stage,
-                        cost_ns: push_table.cost(op.chunk, next_stage).transfer_ns,
-                    });
-                    arrival += 1;
-                }
-            }
-        }
-
-        report.total_time_ns = now;
-        if let Some(started) = loop_started {
-            // The queues track their own depth high-water marks in `push`,
-            // so telemetry reads them here instead of sampling in the loop.
-            depth_scratch.clear();
-            depth_scratch.extend(ready.iter().map(ReadyQueue::high_water));
-            telemetry.flush_run(
-                &report.dims,
-                now,
-                depth_scratch,
-                false,
-                started.elapsed(),
-                LoopCounters::default(),
-            );
-        }
-        if self.options.record_op_log {
-            let labels = LabelInterner::for_dims(num_dims);
-            report.op_log = raw_ops
-                .iter()
-                .map(|raw| labels.materialise(raw, &chunks[raw.chunk].stages[raw.stage]))
-                .collect();
-        }
-        Ok(report)
-    }
-
-    /// The data-oriented hot loop: per-op state lives in the flat
-    /// [`soa::OpMatrix`] arrays keyed by the cost table's dense op ids, ready
-    /// ops are plain `u32`s in per-dimension [`Lane`]s (cost-rank buckets for
-    /// Smallest-Chunk-First — the bucket-queue replacement for the reference
-    /// heap), and `u64` masks let every scan skip quiescent dimensions
-    /// (no in-flight, no ready ops) without touching their state at all.
-    ///
-    /// Every simulated float operation is performed in the same order on the
-    /// same values as [`PipelineSimulator::run_reference`], so reports are
-    /// bit-identical — the invariant the `differential` fuzz suite asserts.
-    fn run_fast(
-        &self,
-        schedule: &CollectiveSchedule,
-        table: &CostTable,
-        workspace: &mut SimWorkspace,
-        fault_timeline: Option<FaultTimeline>,
-        shared: Option<(&Arc<CollectiveSchedule>, &Arc<CostTable>)>,
-    ) -> Result<SimReport, SimError> {
-        let mut epoch = 0usize;
-
-        let num_dims = self.topo.num_dims();
-        debug_assert!(num_dims <= 64, "masked loop requires <= 64 dimensions");
-        let chunks = schedule.chunks();
-        let policy = schedule.intra_dim_policy();
-
-        // Optional Sec. 4.6.2 enforced intra-dimension order.
-        let enforced = if self.options.enforce_intra_dim_order {
-            Some(enforced_intra_dim_order(schedule, self.topo)?)
-        } else {
-            None
-        };
-
-        let mut report = SimReport::empty(
-            self.topo,
-            schedule.scheduler_name(),
-            self.options.activity_window_ns,
-        );
-
-        workspace.prepare_fast_pipeline(num_dims);
-        let telemetry_on = workspace.telemetry.enabled();
-        if telemetry_on {
-            workspace.telemetry.ensure_dims(num_dims);
-        }
-        let loop_started = telemetry_on.then(std::time::Instant::now);
-        // Same cooperative-cancellation poll as the reference loop.
-        let cancel = workspace.cancel.clone();
-        let mut cancel_iter: u64 = 0;
-        let SimWorkspace {
-            ops,
-            matrix_memo,
-            fast_lanes: lanes,
-            fast_active: active,
-            pipe_last_busy_end: last_busy_end,
-            pipe_order_ptr: order_ptr,
-            fast_completions: completions,
-            raw_ops,
-            telemetry,
-            depth_scratch,
-            ..
-        } = workspace;
-
-        let lane_kind = if enforced.is_some() {
-            // Enforced runs need targeted removal in arrival order — the
-            // same linear layout the reference queues switch to.
-            LaneKind::Linear
-        } else if policy == IntraDimPolicy::SmallestChunkFirst {
-            LaneKind::Scf
-        } else {
-            LaneKind::Fifo
-        };
-        // Plan-served cells memoise the built matrix by `Arc` identity;
-        // fault timelines are per-run inputs, so faulted runs build fresh.
-        let matrix: &soa::OpMatrix = match shared {
-            Some((schedule_arc, table_arc)) if fault_timeline.is_none() => {
-                matrix_memo.get_or_build_single(schedule_arc, table_arc, lane_kind == LaneKind::Scf)
-            }
-            _ => {
-                ops.build_single(
-                    chunks,
-                    table,
-                    fault_timeline.as_ref(),
-                    lane_kind == LaneKind::Scf,
-                );
-                ops
-            }
-        };
-        let offsets = table.offsets();
-        for lane in lanes.iter_mut().take(num_dims) {
-            lane.reset(lane_kind, matrix.num_ranks[0]);
-        }
-
-        let mut now = 0.0f64;
-        let mut outstanding = matrix.num_ops;
-        let mut stall_counter = 0usize;
-        // Bit `d` set ⇔ dimension `d` has ready (resp. in-flight) ops. Their
-        // union is the live set; everything else is quiescent and skipped.
-        let mut ready_mask = 0u64;
-        let mut busy_mask = 0u64;
-        let mut ready_total = 0usize;
-        let mut events_batched = 0u64;
-        let mut dims_quiesced = 0u64;
-
-        // Seed every chunk's first stage. Lanes receive ops in global arrival
-        // order, so bucket FIFO order reproduces the reference arrival
-        // tie-break; SCF ranks price at the initial epoch, like the reference
-        // seed table.
-        for (chunk_idx, chunk) in chunks.iter().enumerate() {
-            if chunk.stages.is_empty() {
-                continue;
-            }
-            let op = offsets[chunk_idx];
-            let dim = matrix.dim[op] as usize;
-            lanes[dim].push(op as u32, matrix.rank_at(0, op));
-            ready_mask |= 1u64 << dim;
-            ready_total += 1;
-        }
-        while outstanding > 0 {
-            if let Some(token) = &cancel {
-                if token.should_stop(cancel_iter) {
-                    return Err(SimError::Cancelled { at_ns: now });
-                }
-                cancel_iter += 1;
-            }
-            let (blocked_dims, next_fault): (u64, Option<f64>) = match &fault_timeline {
-                Some(timeline) => {
-                    let cur = &timeline.epochs()[epoch];
-                    (
-                        soa::blocked_mask(Some(&cur.blocked)),
-                        timeline.epoch_start(epoch + 1),
-                    )
-                }
-                None => (0, None),
-            };
-
-            // Issue on live, unblocked dimensions only; blocked or quiescent
-            // dimensions are skipped wholesale by the mask.
-            for dim in BitIter(ready_mask & !blocked_dims) {
-                let lane = &mut lanes[dim];
-                while active[dim].len() < self.options.max_concurrent_ops_per_dim
-                    && !lane.is_empty()
-                {
-                    let op = match &enforced {
-                        Some(order) => {
-                            let Some(&(chunk, stage)) = order.for_dim(dim).get(order_ptr[dim])
-                            else {
-                                break;
-                            };
-                            match lane.take((offsets[chunk] + stage) as u32) {
-                                Some(op) => {
-                                    order_ptr[dim] += 1;
-                                    op
-                                }
-                                // The next op in the enforced order is not
-                                // ready yet: the dimension must wait.
-                                None => break,
-                            }
-                        }
-                        // The lane is policy-ordered: the pop *is* the
-                        // FIFO/SCF pick.
-                        None => lane.pop().expect("ready lane is non-empty"),
-                    };
-                    ready_total -= 1;
-                    let opx = op as usize;
-                    // Same `A_K` charging rule as the reference loop; `work`
-                    // was precomputed with the identical float addition.
-                    let resuming_after_idle =
-                        active[dim].is_empty() && now > last_busy_end[dim] + 1e-6;
-                    let starting_cold = last_busy_end[dim] == f64::NEG_INFINITY;
-                    let work_ns = if resuming_after_idle || starting_cold {
-                        matrix.work_at(epoch, opx)
-                    } else {
-                        matrix.transfer_at(epoch, opx)
-                    };
-                    active[dim].push(op, work_ns, now);
-                    busy_mask |= 1u64 << dim;
-                }
-                if lane.is_empty() {
-                    ready_mask &= !(1u64 << dim);
-                }
-            }
-
-            if busy_mask == 0 {
-                if let Some(at) = next_fault {
-                    now = at.max(now);
-                    epoch += 1;
-                    continue;
-                }
-                return Err(SimError::Stalled {
-                    at_ns: now,
-                    outstanding_ops: ready_total,
-                });
-            }
-
-            // Earliest completion under processor sharing, scanning busy
-            // dimensions only (idle ones contribute nothing to the min).
-            // `min(remaining) * k` is bitwise the reference's minimum over
-            // per-op `remaining * k` products: multiplying by the positive op
-            // count is monotone, so the order of min and multiply commutes.
-            let mut delta = f64::INFINITY;
-            for dim in BitIter(busy_mask) {
-                let set = &active[dim];
-                delta = delta.min(set.min_remaining() * set.len() as f64);
-            }
-            let mut advance_to_fault = false;
-            if let Some(at) = next_fault {
-                let gap = (at - now).max(0.0);
-                if gap <= delta {
-                    delta = gap;
-                    advance_to_fault = true;
-                }
-            }
-            if !delta.is_finite() {
-                delta = 0.0;
-            }
-
-            if delta <= 0.0 && !advance_to_fault {
-                stall_counter += 1;
-                if stall_counter > STALL_GUARD {
-                    return Err(SimError::Stalled {
-                        at_ns: now,
-                        outstanding_ops: outstanding,
-                    });
-                }
-            } else {
-                stall_counter = 0;
-            }
-
-            // Account the segment [now, now + delta) on live dimensions; the
-            // quiescent remainder skips all bookkeeping (and is counted).
-            if delta > 0.0 {
-                let live = busy_mask | ready_mask;
-                dims_quiesced += num_dims as u64 - u64::from(live.count_ones());
-                for dim in BitIter(live) {
-                    let dim_report = &mut report.dims[dim];
-                    if busy_mask & (1u64 << dim) != 0 {
-                        dim_report.busy_ns += delta;
-                    }
-                    push_presence(&mut dim_report.presence_intervals, now, now + delta);
-                }
-            }
-
-            // Charge each dimension's `delta / k` share and collect this
-            // timestamp's completions in one sweep per busy dimension, then
-            // a deterministic sort. `(dim, op id)` is the reference's
-            // `(dim, chunk)` order — op ids are monotone in chunk and each
-            // `(dim, chunk)` pair completes at most once per step (a chunk's
-            // stages run sequentially).
-            completions.clear();
-            for dim in BitIter(busy_mask) {
-                let set = &mut active[dim];
-                let share = delta / set.len() as f64;
-                if set.advance(share, dim as u32, completions) {
-                    busy_mask &= !(1u64 << dim);
-                }
-            }
-            now = if advance_to_fault {
-                epoch += 1;
-                next_fault.expect("fault boundary exists when advancing to it")
-            } else {
-                now + delta
-            };
-
-            if completions.len() > 1 {
-                completions.sort_unstable_by(|a, b| a.dim.cmp(&b.dim).then(a.op.cmp(&b.op)));
-                events_batched += completions.len() as u64;
-            }
-
-            for &Completion { dim, op, start_ns } in completions.iter() {
-                let dim = dim as usize;
-                let opx = op as usize;
-                report.dims[dim].wire_bytes += matrix.wire[opx];
-                report.dims[dim].ops_executed += 1;
-                if self.options.record_op_log {
-                    raw_ops.push(RawOp {
-                        dim,
-                        chunk: matrix.chunk[opx] as usize,
-                        stage: matrix.stage[opx] as usize,
-                        start_ns,
-                        end_ns: now,
-                    });
-                }
-                last_busy_end[dim] = now;
-                outstanding -= 1;
-                // The successor is the next dense op id; it prices (SCF rank)
-                // against the post-boundary epoch, like the reference
-                // `push_table`.
-                if !matrix.last_stage[opx] {
-                    let succ = opx + 1;
-                    let target = matrix.dim[succ] as usize;
-                    lanes[target].push(succ as u32, matrix.rank_at(epoch, succ));
-                    ready_mask |= 1u64 << target;
-                    ready_total += 1;
-                }
-            }
-        }
-
-        report.total_time_ns = now;
-        if let Some(started) = loop_started {
-            depth_scratch.clear();
-            depth_scratch.extend(lanes.iter().take(num_dims).map(Lane::high_water));
-            telemetry.flush_run(
-                &report.dims,
-                now,
-                depth_scratch,
-                false,
-                started.elapsed(),
-                LoopCounters {
-                    events_batched,
-                    dims_quiesced,
-                },
-            );
-        }
-        if self.options.record_op_log {
-            let labels = LabelInterner::for_dims(num_dims);
-            report.op_log = raw_ops
-                .iter()
-                .map(|raw| labels.materialise(raw, &chunks[raw.chunk].stages[raw.stage]))
-                .collect();
-        }
-        Ok(report)
+        .run_single(schedule, table, shared, workspace, plan_cache)
     }
 
     /// Executes `schedule` with both intra-dimension policies and returns the
@@ -900,18 +215,6 @@ impl<'a> PipelineSimulator<'a> {
         );
         self.run(&overridden)
     }
-}
-
-/// Appends `[start, end)` to `intervals`, merging with the previous interval
-/// when contiguous.
-pub(crate) fn push_presence(intervals: &mut Vec<(f64, f64)>, start: f64, end: f64) {
-    if let Some(last) = intervals.last_mut() {
-        if (last.1 - start).abs() < 1e-6 {
-            last.1 = end;
-            return;
-        }
-    }
-    intervals.push((start, end));
 }
 
 #[cfg(test)]
@@ -1244,6 +547,67 @@ mod tests {
         assert!((report.total_wire_bytes() - healthy.total_wire_bytes()).abs() < 1.0);
         for op in report.ops_on_dim(0) {
             assert!(op.start_ns >= recover_at - 1e-6);
+        }
+    }
+
+    #[test]
+    fn single_run_frame_starts_at_zero_when_every_first_stage_is_blocked() {
+        use crate::faults::FaultPlan;
+        use crate::stream::{StreamEntry, StreamSimulator};
+        // Every Baseline All-Reduce chunk starts with a Reduce-Scatter on
+        // dim 0, so failing dim 0 at t = 0 blocks every first stage.
+        let topo = PresetTopology::SwSwSw3dHomo.build();
+        let request = CollectiveRequest::all_reduce_mib(64.0);
+        let schedule = BaselineScheduler::new(8).schedule(&request, &topo).unwrap();
+        let healthy = PipelineSimulator::new(&topo, SimOptions::default())
+            .run(&schedule)
+            .unwrap();
+        let recover_at = healthy.total_time_ns * 0.5;
+        let options =
+            SimOptions::default().with_faults(FaultPlan::new().fail(0.0, 0).recover(recover_at, 0));
+        let report = PipelineSimulator::new(&topo, options.clone())
+            .run(&schedule)
+            .unwrap();
+        let reference = PipelineSimulator::new(&topo, options.clone().with_reference_engine(true))
+            .run(&schedule)
+            .unwrap();
+        // t = 0 stays the origin: the blocked prefix counts towards the
+        // makespan and the op log keeps absolute times.
+        assert!(report.total_time_ns > recover_at);
+        assert!(!report.op_log.is_empty());
+        for op in &report.op_log {
+            assert!(op.start_ns >= recover_at, "{op:?} starts before recovery");
+        }
+        assert_eq!(
+            report.total_time_ns.to_bits(),
+            reference.total_time_ns.to_bits()
+        );
+        assert_eq!(report, reference);
+        // A stream span of the same collective is shifted to its first
+        // issue instead.
+        let stream = StreamSimulator::new(&topo, options)
+            .run(
+                &mut BaselineScheduler::new(8),
+                &[StreamEntry::new("only", 0.0, request)],
+            )
+            .unwrap();
+        let span = &stream.spans[0];
+        assert!(span.start_ns >= recover_at);
+        assert!(span.report.total_time_ns < report.total_time_ns);
+        assert!((span.report.total_time_ns + span.start_ns - report.total_time_ns).abs() < 1e-3);
+    }
+
+    #[test]
+    fn a_schedule_without_chunks_finishes_at_zero() {
+        let topo = fig5_topology();
+        let request = CollectiveRequest::all_reduce_mib(64.0);
+        let schedule = CollectiveSchedule::new(request, "empty", IntraDimPolicy::Fifo, Vec::new());
+        for reference in [false, true] {
+            let options = SimOptions::default().with_reference_engine(reference);
+            let report = PipelineSimulator::new(&topo, options)
+                .run(&schedule)
+                .unwrap();
+            assert_eq!(report.total_time_ns, 0.0, "reference={reference}");
         }
     }
 

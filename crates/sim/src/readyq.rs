@@ -1,4 +1,4 @@
-//! Policy-specialised ready-op storage for the simulation engines.
+//! Policy-specialised ready-op storage for the reference event loop.
 //!
 //! The rate-based loops used to keep ready chunk ops in a plain `Vec` and run
 //! the intra-dimension policy as an O(n) scan plus an O(n) order-preserving
@@ -18,68 +18,57 @@
 //!   (chunk, stage) out of turn, so they keep the linear layout and pay the
 //!   search — enforcement is a verification mode, not the hot path.
 
+use crate::stream::queue::PendingOp;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use themis_core::IntraDimPolicy;
 
-/// The ordering key every ready op exposes to its queue.
-pub(crate) trait ReadyKey {
-    /// Global arrival sequence number (unique, monotone).
-    fn arrival(&self) -> u64;
-    /// Predicted transfer time on the op's dimension (the SCF cost key).
-    fn cost_ns(&self) -> f64;
-}
-
 /// Wrapper giving [`BinaryHeap`] the *smallest* `(cost, arrival)` at the top.
 #[derive(Debug, Clone)]
-pub(crate) struct ScfEntry<T>(pub T);
+struct ScfEntry(PendingOp);
 
-impl<T: ReadyKey> PartialEq for ScfEntry<T> {
+impl PartialEq for ScfEntry {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<T: ReadyKey> Eq for ScfEntry<T> {}
+impl Eq for ScfEntry {}
 
-impl<T: ReadyKey> PartialOrd for ScfEntry<T> {
+impl PartialOrd for ScfEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T: ReadyKey> Ord for ScfEntry<T> {
+impl Ord for ScfEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted: the max-heap then yields the smallest (cost, arrival).
         other
             .0
-            .cost_ns()
-            .total_cmp(&self.0.cost_ns())
-            .then_with(|| other.0.arrival().cmp(&self.0.arrival()))
+            .cost_ns
+            .total_cmp(&self.0.cost_ns)
+            .then_with(|| other.0.arrival.cmp(&self.0.arrival))
     }
 }
 
 /// Policy-shaped storage of a [`ReadyQueue`].
 #[derive(Debug, Clone)]
-enum Storage<T> {
+enum Storage {
     /// Arrival-ordered ops: FIFO pops the front; enforced-order runs search.
-    Queue(VecDeque<T>),
+    Queue(VecDeque<PendingOp>),
     /// SCF-ordered ops: the heap pops the minimal `(cost, arrival)` key.
-    Heap(BinaryHeap<ScfEntry<T>>),
+    Heap(BinaryHeap<ScfEntry>),
 }
 
-/// Ready ops of one dimension (or one collective's bucket on a dimension),
-/// stored in the pop order of the owning run's policy. The queue also tracks
-/// its own depth high-water mark — maintained unconditionally in `push`
-/// (one integer max on a line that already touches the length), so telemetry
-/// reads it for free after the run instead of sampling inside the event loop.
+/// Ready ops of one collective's bucket on a dimension, stored in the pop
+/// order of the owning run's policy.
 #[derive(Debug, Clone)]
-pub(crate) struct ReadyQueue<T> {
-    storage: Storage<T>,
-    high_water: usize,
+pub(crate) struct ReadyQueue {
+    storage: Storage,
 }
 
-impl<T: ReadyKey> ReadyQueue<T> {
+impl ReadyQueue {
     /// Creates the storage matching how ops will be popped.
     pub(crate) fn for_policy(policy: IntraDimPolicy, enforced: bool) -> Self {
         let storage = if enforced || policy == IntraDimPolicy::Fifo {
@@ -87,10 +76,7 @@ impl<T: ReadyKey> ReadyQueue<T> {
         } else {
             Storage::Heap(BinaryHeap::new())
         };
-        ReadyQueue {
-            storage,
-            high_water: 0,
-        }
+        ReadyQueue { storage }
     }
 
     /// Re-shapes the queue in place for a new run: clears it, reusing the
@@ -105,7 +91,6 @@ impl<T: ReadyKey> ReadyQueue<T> {
             (Storage::Heap(heap), false) => heap.clear(),
             (slot, _) => *slot = ReadyQueue::for_policy(policy, enforced).storage,
         }
-        self.high_water = 0;
     }
 
     /// Number of queued ops.
@@ -121,29 +106,17 @@ impl<T: ReadyKey> ReadyQueue<T> {
         self.len() == 0
     }
 
-    /// The deepest the queue has been since the last [`ReadyQueue::reshape`].
-    pub(crate) fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Enqueues an op. Callers push in arrival order (the heap does not care,
     /// the queue relies on it).
-    pub(crate) fn push(&mut self, op: T) {
-        let depth = match &mut self.storage {
-            Storage::Queue(queue) => {
-                queue.push_back(op);
-                queue.len()
-            }
-            Storage::Heap(heap) => {
-                heap.push(ScfEntry(op));
-                heap.len()
-            }
-        };
-        self.high_water = self.high_water.max(depth);
+    pub(crate) fn push(&mut self, op: PendingOp) {
+        match &mut self.storage {
+            Storage::Queue(queue) => queue.push_back(op),
+            Storage::Heap(heap) => heap.push(ScfEntry(op)),
+        }
     }
 
     /// Pops the policy's next op: FIFO front or SCF minimum.
-    pub(crate) fn pop_next(&mut self) -> Option<T> {
+    pub(crate) fn pop_next(&mut self) -> Option<PendingOp> {
         match &mut self.storage {
             Storage::Queue(queue) => queue.pop_front(),
             Storage::Heap(heap) => heap.pop().map(|entry| entry.0),
@@ -152,7 +125,10 @@ impl<T: ReadyKey> ReadyQueue<T> {
 
     /// Removes and returns the first op matching `matches` (enforced-order
     /// runs only, which always use the linear queue layout).
-    pub(crate) fn take_matching(&mut self, matches: impl Fn(&T) -> bool) -> Option<T> {
+    pub(crate) fn take_matching(
+        &mut self,
+        matches: impl Fn(&PendingOp) -> bool,
+    ) -> Option<PendingOp> {
         match &mut self.storage {
             Storage::Queue(queue) => {
                 let index = queue.iter().position(matches)?;
@@ -169,40 +145,18 @@ impl<T: ReadyKey> ReadyQueue<T> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Op {
-        arrival: u64,
-        cost_ns: f64,
-    }
-
-    impl ReadyKey for Op {
-        fn arrival(&self) -> u64 {
-            self.arrival
-        }
-        fn cost_ns(&self) -> f64 {
-            self.cost_ns
+    fn op(arrival: u64, cost_ns: f64) -> PendingOp {
+        PendingOp {
+            arrival,
+            coll: 0,
+            chunk: 0,
+            stage: 0,
+            cost_ns,
         }
     }
 
-    fn ops() -> [Op; 4] {
-        [
-            Op {
-                arrival: 0,
-                cost_ns: 30.0,
-            },
-            Op {
-                arrival: 1,
-                cost_ns: 10.0,
-            },
-            Op {
-                arrival: 2,
-                cost_ns: 10.0,
-            },
-            Op {
-                arrival: 3,
-                cost_ns: 20.0,
-            },
-        ]
+    fn ops() -> [PendingOp; 4] {
+        [op(0, 30.0), op(1, 10.0), op(2, 10.0), op(3, 20.0)]
     }
 
     #[test]
@@ -227,7 +181,7 @@ mod tests {
         let popped: Vec<u64> =
             std::iter::from_fn(|| queue.pop_next().map(|op| op.arrival)).collect();
         // The linear reference: IntraDimPolicy::pick over (arrival, cost).
-        let mut remaining: Vec<Op> = ops().to_vec();
+        let mut remaining: Vec<PendingOp> = ops().to_vec();
         let mut reference = Vec::new();
         while !remaining.is_empty() {
             let keys: Vec<(u64, f64)> = remaining
@@ -247,10 +201,7 @@ mod tests {
         // linear policy scan and across heap sift paths.
         let mut queue = ReadyQueue::for_policy(IntraDimPolicy::SmallestChunkFirst, false);
         for arrival in 0..8u64 {
-            queue.push(Op {
-                arrival,
-                cost_ns: 42.0,
-            });
+            queue.push(op(arrival, 42.0));
         }
         let popped: Vec<u64> =
             std::iter::from_fn(|| queue.pop_next().map(|op| op.arrival)).collect();
@@ -261,29 +212,17 @@ mod tests {
     fn scf_interleaved_pushes_and_pops_keep_the_cost_arrival_order() {
         // Pops interleaved with pushes: the heap must always yield the
         // minimal (cost, arrival) among the ops queued *at that moment* —
-        // the invariant the engines rely on when successors arrive while
+        // the invariant the loop relies on when successors arrive while
         // earlier chunks are still queued.
         let mut queue = ReadyQueue::for_policy(IntraDimPolicy::SmallestChunkFirst, false);
-        queue.push(Op {
-            arrival: 0,
-            cost_ns: 50.0,
-        });
-        queue.push(Op {
-            arrival: 1,
-            cost_ns: 10.0,
-        });
+        queue.push(op(0, 50.0));
+        queue.push(op(1, 10.0));
         assert_eq!(queue.pop_next().unwrap().arrival, 1);
         // A later arrival with the same cost as an op already queued loses
         // the tie to it.
-        queue.push(Op {
-            arrival: 2,
-            cost_ns: 50.0,
-        });
+        queue.push(op(2, 50.0));
         assert_eq!(queue.pop_next().unwrap().arrival, 0);
-        queue.push(Op {
-            arrival: 3,
-            cost_ns: 5.0,
-        });
+        queue.push(op(3, 5.0));
         assert_eq!(queue.pop_next().unwrap().arrival, 3);
         assert_eq!(queue.pop_next().unwrap().arrival, 2);
         assert!(queue.pop_next().is_none());
@@ -295,11 +234,10 @@ mod tests {
         for op in ops() {
             queue.push(op);
         }
-        assert_eq!(queue.high_water(), 4);
+        assert_eq!(queue.len(), 4);
         // Same layout: reshape clears but keeps the queue variant usable.
         queue.reshape(IntraDimPolicy::Fifo, false);
         assert!(queue.is_empty());
-        assert_eq!(queue.high_water(), 0);
         // Different layout: FIFO → SCF heap, pops by cost afterwards.
         queue.reshape(IntraDimPolicy::SmallestChunkFirst, false);
         for op in ops() {

@@ -1,10 +1,10 @@
-//! Structure-of-arrays state for the data-oriented simulation loops.
+//! Structure-of-arrays state for the data-oriented event loop.
 //!
-//! The reference engines keep per-op state in small structs (`PendingOp`,
+//! The reference loop keeps per-op state in small structs (`PendingOp`,
 //! `ActiveOp`) threaded through policy-shaped containers ([`crate::readyq`],
-//! a `BinaryHeap` for Smallest-Chunk-First). The fast loops instead key
+//! a `BinaryHeap` for Smallest-Chunk-First). The fast loop instead keys
 //! everything by the dense op ids the [`CostTable`] already assigns —
-//! `op = offsets[chunk] + stage`, collectives concatenated — and hold the
+//! `op = offsets[chunk] + stage`, collectives concatenated — and holds the
 //! per-op attributes (dimension, chunk, stage, per-epoch transfer/work costs,
 //! wire bytes) in flat arrays built once per run by [`OpMatrix`]. A ready op
 //! is then just a `u32`, and the SCF heap becomes a calendar-style
@@ -16,15 +16,16 @@
 //! are assigned by `total_cmp` so bucket order *is* cost order.
 //!
 //! Nothing in this module touches the simulated floats: it re-packages the
-//! exact values the reference engines read (`work_ns` is precomputed with the
-//! same [`OpCost::work_ns`] addition), which is why the fast loops are
+//! exact values the reference loop reads (`work_ns` is precomputed with the
+//! same [`OpCost::work_ns`] addition), which is why the fast loop is
 //! bit-identical — the property the `differential` suite enforces.
 
 use crate::faults::FaultTimeline;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use themis_core::plan::{CostTable, OpCost};
-use themis_core::schedule::{ChunkSchedule, CollectiveSchedule};
+use themis_core::schedule::CollectiveSchedule;
 
 /// Iterator over the set bit positions of a `u64` mask, ascending — the
 /// quiescence short-cut: loops visit live dimensions only.
@@ -104,7 +105,7 @@ pub(crate) enum LaneKind {
 
 /// One dimension's (or one collective-on-a-dimension's) ready ops, stored in
 /// the pop order of the owning run's policy — the calendar/bucket replacement
-/// for the reference engines' heap-backed [`crate::readyq::ReadyQueue`].
+/// for the reference loop's heap-backed [`crate::readyq::ReadyQueue`].
 #[derive(Debug, Clone)]
 pub(crate) struct Lane {
     kind: LaneKind,
@@ -150,7 +151,6 @@ impl Lane {
         self.high_water = 0;
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
     #[inline(always)]
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -290,51 +290,14 @@ impl OpMatrix {
         }
     }
 
-    /// Builds the matrix for a single-collective run: `chunks` is the
-    /// schedule's chunk list, `base` its cost table, `timeline` the compiled
-    /// fault epochs (if any).
-    pub(crate) fn build_single(
-        &mut self,
-        chunks: &[ChunkSchedule],
-        base: &CostTable,
-        timeline: Option<&FaultTimeline>,
-        need_ranks: bool,
-    ) {
-        self.clear();
-        self.num_ops = base.num_ops();
-        self.num_epochs = timeline.map_or(1, |t| t.epochs().len());
-        for (chunk_index, chunk) in chunks.iter().enumerate() {
-            let stages = chunk.stages.len();
-            for (stage_index, stage) in chunk.stages.iter().enumerate() {
-                self.dim.push(stage.dim as u32);
-                self.chunk.push(chunk_index as u32);
-                self.stage.push(stage_index as u32);
-                self.coll.push(0);
-                self.last_stage.push(stage_index + 1 == stages);
-            }
-        }
-        self.wire.extend(base.costs().iter().map(|c| c.wire_bytes));
-        for epoch in 0..self.num_epochs {
-            let table = epoch_table_single(base, timeline, epoch);
-            self.push_epoch_prices(table.costs());
-        }
-        self.coll_base.push(0);
-        self.coll_base.push(self.num_ops as u32);
-        if need_ranks {
-            self.assign_ranks(0..self.num_ops);
-        } else {
-            self.num_ranks.push(0);
-        }
-    }
-
-    /// Builds the matrix for a stream run: one op-id block per admitted
+    /// Builds the matrix for a run: one op-id block per admitted
     /// collective, in admission order. `timelines[k]` (when faults are
     /// active) carries collective `k`'s per-epoch tables; all collectives
     /// share the same epoch boundaries (one fault plan).
-    pub(crate) fn build_stream(
+    pub(crate) fn build<S: Borrow<CollectiveSchedule>, T: Borrow<CostTable>>(
         &mut self,
-        schedules: &[Arc<themis_core::CollectiveSchedule>],
-        tables: &[Arc<CostTable>],
+        schedules: &[S],
+        tables: &[T],
         timelines: Option<&[FaultTimeline]>,
         need_ranks: bool,
     ) {
@@ -344,7 +307,7 @@ impl OpMatrix {
             .map_or(1, |t| t.epochs().len());
         self.coll_base.push(0);
         for (coll, schedule) in schedules.iter().enumerate() {
-            for (chunk_index, chunk) in schedule.chunks().iter().enumerate() {
+            for (chunk_index, chunk) in schedule.borrow().chunks().iter().enumerate() {
                 let stages = chunk.stages.len();
                 for (stage_index, stage) in chunk.stages.iter().enumerate() {
                     self.dim.push(stage.dim as u32);
@@ -355,13 +318,13 @@ impl OpMatrix {
                 }
             }
             self.wire
-                .extend(tables[coll].costs().iter().map(|c| c.wire_bytes));
+                .extend(tables[coll].borrow().costs().iter().map(|c| c.wire_bytes));
             self.coll_base.push(self.dim.len() as u32);
         }
         self.num_ops = self.dim.len();
         for epoch in 0..self.num_epochs {
             for (coll, base) in tables.iter().enumerate() {
-                let table = epoch_table_stream(base, timelines, epoch, coll);
+                let table = epoch_table(base.borrow(), timelines, epoch, coll);
                 self.push_epoch_prices(table.costs());
             }
         }
@@ -476,39 +439,9 @@ pub(crate) struct MatrixMemo {
 }
 
 impl MatrixMemo {
-    /// The memoised matrix of a single-collective run (building and caching
-    /// it on first sight of this `(schedule, table, need_ranks)` identity).
-    pub(crate) fn get_or_build_single(
-        &mut self,
-        schedule: &Arc<CollectiveSchedule>,
-        table: &Arc<CostTable>,
-        need_ranks: bool,
-    ) -> &OpMatrix {
-        let key = MemoKey::new(
-            std::slice::from_ref(schedule),
-            std::slice::from_ref(table),
-            need_ranks,
-        );
-        if !self.entries.contains_key(&key) && self.entries.len() >= MATRIX_MEMO_CAP {
-            self.entries.clear();
-        }
-        &self
-            .entries
-            .entry(key)
-            .or_insert_with(|| {
-                let mut matrix = OpMatrix::default();
-                matrix.build_single(schedule.chunks(), table, None, need_ranks);
-                MemoEntry {
-                    _pins: (vec![Arc::clone(schedule)], vec![Arc::clone(table)]),
-                    matrix,
-                }
-            })
-            .matrix
-    }
-
-    /// The memoised matrix of a stream run over `schedules` (one op-id block
-    /// per admitted collective, like [`OpMatrix::build_stream`]).
-    pub(crate) fn get_or_build_stream(
+    /// The memoised matrix of a run over `schedules` (building and caching
+    /// it on first sight of this `(schedules, tables, need_ranks)` identity).
+    pub(crate) fn get_or_build(
         &mut self,
         schedules: &[Arc<CollectiveSchedule>],
         tables: &[Arc<CostTable>],
@@ -523,7 +456,7 @@ impl MatrixMemo {
             .entry(key)
             .or_insert_with(|| {
                 let mut matrix = OpMatrix::default();
-                matrix.build_stream(schedules, tables, None, need_ranks);
+                matrix.build(schedules, tables, None, need_ranks);
                 MemoEntry {
                     _pins: (schedules.to_vec(), tables.to_vec()),
                     matrix,
@@ -568,20 +501,8 @@ impl MatrixMemo {
     }
 }
 
-/// The table pricing ops in `epoch` of a single-collective run.
-fn epoch_table_single<'t>(
-    base: &'t CostTable,
-    timeline: Option<&'t FaultTimeline>,
-    epoch: usize,
-) -> &'t CostTable {
-    match timeline {
-        Some(timeline) => timeline.epochs()[epoch].table.as_deref().unwrap_or(base),
-        None => base,
-    }
-}
-
-/// The table pricing collective `coll`'s ops in `epoch` of a stream run.
-fn epoch_table_stream<'t>(
+/// The table pricing collective `coll`'s ops in `epoch`.
+fn epoch_table<'t>(
     base: &'t CostTable,
     timelines: Option<&'t [FaultTimeline]>,
     epoch: usize,
@@ -596,8 +517,8 @@ fn epoch_table_stream<'t>(
     }
 }
 
-/// Completion threshold of both engines: an op finishes once its remaining
-/// work is within this epsilon of zero (identical to the reference loops).
+/// Completion threshold of both loops: an op finishes once its remaining
+/// work is within this epsilon of zero (identical to the reference loop).
 pub(crate) const COMPLETION_EPS: f64 = 1e-6;
 
 /// One finished op, recorded by [`ActiveSet::advance`]: the dense id, the
@@ -610,7 +531,7 @@ pub(crate) struct Completion {
 }
 
 /// The in-flight ops of one dimension, structure-of-arrays: the fast
-/// engines' replacement for the reference `Vec<ActiveOp>`. The only value
+/// loop's replacement for the reference `Vec<ActiveOp>`. The only value
 /// the inner loop touches every step is each op's remaining work, so it
 /// lives in its own densely packed `f64` array, and the set maintains
 /// `min(remaining)` incrementally — the per-step earliest-completion scan
@@ -733,21 +654,68 @@ impl ActiveSet {
     }
 }
 
+/// Per-dimension ready bookkeeping of a merged stream run, where each
+/// dimension has one lane per collective: which collectives have ready ops on
+/// the dimension (unordered; lets the per-segment accounting skip the mostly
+/// empty lanes), the dimension's total ready-op count, and that count's high
+/// watermark for telemetry. A single-collective run needs none of it — its
+/// one lane per dimension is the dimension's whole ready set.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyIndex {
+    pub colls: Vec<Vec<usize>>,
+    pub count: Vec<usize>,
+    pub high_water: Vec<usize>,
+}
+
+impl ReadyIndex {
+    pub(crate) fn reset(&mut self, num_dims: usize) {
+        for colls in &mut self.colls {
+            colls.clear();
+        }
+        self.colls.resize_with(num_dims, Vec::new);
+        self.count.clear();
+        self.count.resize(num_dims, 0);
+        self.high_water.clear();
+        self.high_water.resize(num_dims, 0);
+    }
+
+    /// Records one op of `coll` becoming ready on `dim`; `lane_was_empty`
+    /// says whether `coll` had no ready op there before.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, dim: usize, coll: usize, lane_was_empty: bool) {
+        if lane_was_empty {
+            self.colls[dim].push(coll);
+        }
+        self.count[dim] += 1;
+        self.high_water[dim] = self.high_water[dim].max(self.count[dim]);
+    }
+
+    /// Records one op of `coll` leaving `dim`'s ready set; `lane_now_empty`
+    /// says whether that drained `coll`'s lane there.
+    #[inline(always)]
+    pub(crate) fn pop(&mut self, dim: usize, coll: usize, lane_now_empty: bool) {
+        self.count[dim] -= 1;
+        if lane_now_empty {
+            let list = &mut self.colls[dim];
+            let position = list
+                .iter()
+                .position(|&c| c == coll)
+                .expect("drained lane is listed");
+            list.swap_remove(position);
+        }
+    }
+}
+
 /// Builds a blocked-dimension bitmask from a fault epoch's `blocked` flags.
 #[inline(always)]
-pub(crate) fn blocked_mask(blocked: Option<&[bool]>) -> u64 {
-    match blocked {
-        Some(flags) => {
-            let mut mask = 0u64;
-            for (dim, &flag) in flags.iter().enumerate() {
-                if flag {
-                    mask |= 1u64 << dim;
-                }
-            }
-            mask
+pub(crate) fn blocked_mask(blocked: &[bool]) -> u64 {
+    let mut mask = 0u64;
+    for (dim, &flag) in blocked.iter().enumerate() {
+        if flag {
+            mask |= 1u64 << dim;
         }
-        None => 0,
     }
+    mask
 }
 
 #[cfg(test)]

@@ -72,7 +72,6 @@ impl LabelInterner {
 
 /// Per-dimension statistics collected during a simulation.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DimReport {
     /// Aggregate per-NPU bandwidth of the dimension, bytes per nanosecond.
     pub bandwidth_bytes_per_ns: f64,
@@ -116,7 +115,6 @@ impl DimReport {
 /// One executed chunk operation, as recorded by the simulator's trace
 /// (the data behind the pipeline diagrams of Fig. 5).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpRecord {
     /// Dimension the op executed on.
     pub dim: usize,
@@ -141,7 +139,6 @@ impl OpRecord {
 
 /// The result of simulating one collective schedule.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimReport {
     /// Name of the scheduler that produced the executed schedule.
     pub scheduler_name: String,
@@ -157,8 +154,23 @@ pub struct SimReport {
     pub op_log: Vec<OpRecord>,
 }
 
+impl DimReport {
+    /// Zeroed statistics for every dimension of `topo`, carrying its
+    /// bandwidths — the state every simulation starts from.
+    pub(crate) fn for_topology(topo: &NetworkTopology) -> Vec<DimReport> {
+        topo.dims()
+            .iter()
+            .map(|d| DimReport {
+                bandwidth_bytes_per_ns: d.aggregate_bandwidth().as_bytes_per_ns(),
+                ..DimReport::default()
+            })
+            .collect()
+    }
+}
+
 impl SimReport {
-    /// Creates an empty report for `topo` (used internally by the simulator).
+    /// Creates an empty report for `topo`.
+    #[cfg(test)]
     pub(crate) fn empty(
         topo: &NetworkTopology,
         scheduler_name: &str,
@@ -169,14 +181,7 @@ impl SimReport {
             topology_name: topo.name().to_string(),
             total_time_ns: 0.0,
             activity_window_ns,
-            dims: topo
-                .dims()
-                .iter()
-                .map(|d| DimReport {
-                    bandwidth_bytes_per_ns: d.aggregate_bandwidth().as_bytes_per_ns(),
-                    ..DimReport::default()
-                })
-                .collect(),
+            dims: DimReport::for_topology(topo),
             op_log: Vec::new(),
         }
     }

@@ -1,22 +1,32 @@
-//! The stream execution engine.
+//! The stream execution engine, and the event loop behind every simulation.
 //!
-//! Generalises the single-collective chunk-pipeline loop to a queue of
-//! collectives. Each collective is scheduled with a shared scheduler; its
-//! chunks enter the per-dimension ready queues at the collective's issue time
-//! (event-driven admission). Every dimension serves the earliest admitted
-//! collective first, so a later collective's chunks only start on dimensions
-//! the earlier collectives have vacated — in-flight overlap without ever
-//! reordering a collective behind its queue successors.
+//! [`StreamSimulator`] generalises the single-collective chunk pipeline to a
+//! queue of collectives. Each collective is scheduled with a shared
+//! scheduler; its chunks enter the per-dimension ready queues at the
+//! collective's issue time (event-driven admission). Every dimension serves
+//! the earliest admitted collective first, so a later collective's chunks
+//! only start on dimensions the earlier collectives have vacated — in-flight
+//! overlap without ever reordering a collective behind its queue successors.
+//!
+//! The loop is one data-oriented function generic over `const MULTI: bool`.
+//! The merged instantiation runs the queue above. The single-collective
+//! instantiation — behind [`crate::PipelineSimulator`], the sequential
+//! stream policy, [`crate::TimelineSimulator`] and
+//! [`crate::CollectiveExecutor`] — compiles out what one collective never
+//! needs: admission, the vacancy tracker, the per-collective segment
+//! accounting and the per-dimension ready-collective lists and counts. The
+//! original heap-backed merged loop stays as the differential oracle behind
+//! [`SimOptions::reference_engine`], for single and stream runs alike.
 
 use crate::error::SimError;
 use crate::faults::FaultTimeline;
 use crate::options::SimOptions;
-use crate::pipeline::{push_presence, PipelineSimulator};
-use crate::soa::{self, BitIter, Completion, Lane, LaneKind, OpMatrix};
+use crate::soa::{self, BitIter, Completion, Lane, LaneKind, OpMatrix, ReadyIndex};
 use crate::stats::{DimReport, LabelInterner, RawOp, SimReport};
 use crate::stream::queue::{ActiveOp, DimQueue, PendingOp, StreamEntry, VacancyTracker};
 use crate::stream::report::{CollectiveSpan, StreamReport};
 use crate::workspace::{LoopCounters, SimWorkspace};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use themis_collectives::CostModel;
 use themis_core::plan::{CostTable, CostTableCache};
@@ -27,42 +37,30 @@ use themis_core::{
 use themis_net::NetworkTopology;
 
 /// Maximum number of zero-progress iterations tolerated before declaring the
-/// stream stalled (mirrors the pipeline simulator's guard).
+/// simulation stalled.
 const STALL_GUARD: usize = 64;
-
-/// Book-keeping for one admitted collective during the merged run.
-#[derive(Debug)]
-struct CollState {
-    entry_index: usize,
-    issue_ns: f64,
-    outstanding_ops: usize,
-    started: bool,
-    start_ns: f64,
-    finish_ns: f64,
-    active_ns: f64,
-    overlapped_ns: f64,
-    dims: Vec<DimReport>,
-    raw_ops: Vec<RawOp>,
-    enforced: Option<EnforcedOrder>,
-    order_ptr: Vec<usize>,
-}
 
 /// Executes a queue of collectives with a shared scheduler on one topology.
 ///
 /// With [`SimOptions::cross_collective_overlap`] enabled (the default) the
 /// engine overlaps queued collectives in flight; with it disabled the queue
 /// degrades to the strict back-to-back execution of the sequential timeline
-/// model, each collective simulated in isolation and laid end to end.
+/// model, each collective simulated alone and laid end to end.
 #[derive(Debug)]
 pub struct StreamSimulator<'a> {
     topo: &'a NetworkTopology,
     options: SimOptions,
+    cost: CostModel,
 }
 
 impl<'a> StreamSimulator<'a> {
     /// Creates a stream simulator.
     pub fn new(topo: &'a NetworkTopology, options: SimOptions) -> Self {
-        StreamSimulator { topo, options }
+        StreamSimulator {
+            topo,
+            options,
+            cost: CostModel::new(),
+        }
     }
 
     /// The topology this simulator executes on.
@@ -73,6 +71,14 @@ impl<'a> StreamSimulator<'a> {
     /// The simulation options.
     pub fn options(&self) -> &SimOptions {
         &self.options
+    }
+
+    fn engine(&self) -> Engine<'_> {
+        Engine {
+            topo: self.topo,
+            options: &self.options,
+            cost: &self.cost,
+        }
     }
 
     /// Simulates `entries` using `scheduler` for every collective and returns
@@ -111,16 +117,9 @@ impl<'a> StreamSimulator<'a> {
         &self,
         schedules: &[Arc<CollectiveSchedule>],
     ) -> Result<Vec<Arc<CostTable>>, SimError> {
-        let cost_model = CostModel::new();
         schedules
             .iter()
-            .map(|schedule| {
-                Ok(Arc::new(CostTable::build(
-                    self.topo,
-                    &cost_model,
-                    schedule,
-                )?))
-            })
+            .map(|schedule| Ok(Arc::new(CostTable::build(self.topo, &self.cost, schedule)?)))
             .collect()
     }
 
@@ -302,9 +301,10 @@ impl<'a> StreamSimulator<'a> {
         Ok((order, ordered))
     }
 
-    /// The sequential-timeline policy: each collective is simulated in
-    /// isolation and laid end to end (a collective starts when both its issue
-    /// time has arrived and the network has drained its predecessor).
+    /// The sequential-timeline policy: each collective runs alone through
+    /// the single-collective loop, in its own single-run frame, and the runs
+    /// are laid end to end (a collective starts when both its issue time has
+    /// arrived and the network has drained its predecessor).
     fn run_sequential(
         &self,
         entries: &[StreamEntry],
@@ -314,11 +314,10 @@ impl<'a> StreamSimulator<'a> {
         workspace: &mut SimWorkspace,
         plan_cache: Option<&CostTableCache>,
     ) -> Result<StreamReport, SimError> {
-        let simulator = PipelineSimulator::new(self.topo, self.options.clone());
         let mut report = StreamReport::empty(
             schedules.first().map_or("", |s| s.scheduler_name()),
             self.topo.name(),
-            dims_template(self.topo),
+            DimReport::for_topology(self.topo),
         );
         let mut network_free_at = 0.0f64;
         for (slot, &index) in order.iter().enumerate() {
@@ -327,20 +326,28 @@ impl<'a> StreamSimulator<'a> {
             // Fault times are absolute stream time; each laid-end-to-end
             // collective runs in its own frame, so it gets the plan as seen
             // from its start offset (past events collapsed into state at 0).
-            let sim_report = if self.options.faults.is_empty() {
-                simulator.run_planned(&schedules[slot], &tables[slot], workspace, None)?
+            let shifted;
+            let options = if self.options.faults.is_empty() {
+                &self.options
             } else {
-                let options = self
+                shifted = self
                     .options
                     .clone()
                     .with_faults(self.options.faults.shifted(start_ns));
-                PipelineSimulator::new(self.topo, options).run_prepared_cached(
-                    schedules[slot].as_ref(),
-                    &tables[slot],
-                    workspace,
-                    plan_cache,
-                )?
+                &shifted
             };
+            let (schedule, table) = (&schedules[slot], &tables[slot]);
+            let sim_report = Engine {
+                options,
+                ..self.engine()
+            }
+            .run_single(
+                schedule,
+                table,
+                Some((schedule, table)),
+                workspace,
+                plan_cache,
+            )?;
             let finish_ns = start_ns + sim_report.total_time_ns;
             network_free_at = finish_ns;
             report.network_busy_ns += sim_report.total_time_ns;
@@ -370,102 +377,329 @@ impl<'a> StreamSimulator<'a> {
 
     /// The overlap-aware policy: one merged event loop over all admitted
     /// collectives, with earliest-collective priority on every dimension.
-    /// Dispatches between the data-oriented fast loop (the default) and the
-    /// original reference loop ([`SimOptions::reference_engine`], or more
-    /// than 64 dimensions — the fast loop keys dimensions by bit position in
-    /// `u64` masks). Both produce bit-identical reports.
     fn run_overlapped(
         &self,
         entries: &[StreamEntry],
         order: &[usize],
         schedules: &[Arc<CollectiveSchedule>],
-        op_costs: &[Arc<CostTable>],
+        tables: &[Arc<CostTable>],
         workspace: &mut SimWorkspace,
         plan_cache: Option<&CostTableCache>,
     ) -> Result<StreamReport, SimError> {
-        if self.options.reference_engine || self.topo.num_dims() > 64 {
-            self.run_overlapped_reference(
-                entries, order, schedules, op_costs, workspace, plan_cache,
+        let engine = self.engine();
+        let issue_ns: Vec<f64> = order
+            .iter()
+            .map(|&index| entries[index].clamped_issue_ns())
+            .collect();
+        let run = engine.run_merged(&issue_ns, schedules, tables, workspace, plan_cache)?;
+        // Assemble spans: shift each collective's statistics into its own
+        // time frame so the embedded report reads like a standalone run.
+        // Labels are resolved here, once per executed op, from the interned
+        // table — the event loop never formatted a string.
+        let labels = self
+            .options
+            .record_op_log
+            .then(|| LabelInterner::for_dims(self.topo.num_dims()));
+        let mut report = StreamReport {
+            network_busy_ns: run.network_busy_ns,
+            overlap_ns: run.overlap_ns,
+            ..StreamReport::empty(
+                schedules.first().map_or("", |s| s.scheduler_name()),
+                self.topo.name(),
+                run.dims,
             )
+        };
+        for ((state, &index), schedule) in run.colls.into_iter().zip(order).zip(schedules) {
+            report.finish_ns = report.finish_ns.max(state.finish_ns);
+            report.spans.push(CollectiveSpan {
+                index,
+                label: entries[index].label.clone(),
+                issue_ns: state.issue_ns,
+                start_ns: state.start_ns,
+                finish_ns: state.finish_ns,
+                active_ns: state.active_ns,
+                overlapped_ns: state.overlapped_ns,
+                report: engine.collective_report(
+                    schedule,
+                    state.start_ns,
+                    state.finish_ns,
+                    state.dims,
+                    &state.raw_ops,
+                    labels.as_ref(),
+                ),
+            });
+        }
+        Ok(report)
+    }
+}
+
+/// The fabric an event loop runs on: the topology, the options, and the
+/// cost model that prices fault epochs. [`crate::PipelineSimulator`] passes
+/// its own model; the stream policies pass [`CostModel::new`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Engine<'a> {
+    pub(crate) topo: &'a NetworkTopology,
+    pub(crate) options: &'a SimOptions,
+    pub(crate) cost: &'a CostModel,
+}
+
+/// Book-keeping for one admitted collective during a merged run.
+#[derive(Debug)]
+struct CollState {
+    issue_ns: f64,
+    outstanding_ops: usize,
+    started: bool,
+    start_ns: f64,
+    finish_ns: f64,
+    active_ns: f64,
+    overlapped_ns: f64,
+    dims: Vec<DimReport>,
+    raw_ops: Vec<RawOp>,
+}
+
+impl CollState {
+    fn new(issue_ns: f64, schedule: &CollectiveSchedule, topo: &NetworkTopology) -> Self {
+        CollState {
+            issue_ns,
+            outstanding_ops: schedule.chunks().iter().map(|c| c.stages.len()).sum(),
+            started: false,
+            start_ns: 0.0,
+            finish_ns: 0.0,
+            active_ns: 0.0,
+            overlapped_ns: 0.0,
+            dims: DimReport::for_topology(topo),
+            raw_ops: Vec::new(),
+        }
+    }
+}
+
+/// The plan-cache `Arc`s a run's schedules and tables came from: the
+/// identity the workspace memoises built op matrices under.
+type PlanArcs<'p> = (&'p [Arc<CollectiveSchedule>], &'p [Arc<CostTable>]);
+
+/// What an event loop hands back for report assembly.
+#[derive(Debug)]
+struct LoopRun {
+    /// Network-wide per-dimension statistics, on the run's clock.
+    dims: Vec<DimReport>,
+    /// The clock when the loop ended: a single-collective run's makespan.
+    end_ns: f64,
+    /// Time at least one collective was executing (merged runs).
+    network_busy_ns: f64,
+    /// Time at least two collectives were executing (merged runs).
+    overlap_ns: f64,
+    /// Per-collective state in admission order; the fast single-collective
+    /// instantiation keeps none.
+    colls: Vec<CollState>,
+}
+
+impl Engine<'_> {
+    /// The reference loop runs on request, and past the 64 dimensions the
+    /// fast loop can key by bit position in `u64` masks.
+    fn use_reference(&self) -> bool {
+        self.options.reference_engine || self.topo.num_dims() > 64
+    }
+
+    /// Runs one collective in the single-run frame: t = 0 is the origin and
+    /// `total_time_ns` is the finish time, even when no op can start at
+    /// t = 0. `shared` are the plan-cache `Arc`s the schedule and table came
+    /// from, which let the workspace memoise the op matrix.
+    pub(crate) fn run_single(
+        &self,
+        schedule: &CollectiveSchedule,
+        table: &CostTable,
+        shared: Option<(&Arc<CollectiveSchedule>, &Arc<CostTable>)>,
+        workspace: &mut SimWorkspace,
+        plan_cache: Option<&CostTableCache>,
+    ) -> Result<SimReport, SimError> {
+        let timelines = self.compile_faults(&[schedule], plan_cache)?;
+        let labels = self
+            .options
+            .record_op_log
+            .then(|| LabelInterner::for_dims(self.topo.num_dims()));
+        if self.use_reference() {
+            let mut run =
+                self.run_reference(&[schedule], &[table], &[0.0], timelines, false, workspace)?;
+            let state = run.colls.pop().expect("the one collective ran");
+            return Ok(self.collective_report(
+                schedule,
+                0.0,
+                state.finish_ns,
+                state.dims,
+                &state.raw_ops,
+                labels.as_ref(),
+            ));
+        }
+        // Faulted runs build their matrix fresh: fault timelines are per-run
+        // inputs, not part of the memo key.
+        let memo = match shared {
+            Some((schedule, table)) if timelines.is_none() => {
+                Some((std::slice::from_ref(schedule), std::slice::from_ref(table)))
+            }
+            _ => None,
+        };
+        let run =
+            self.run_fast::<false, _, _>(&[schedule], &[table], &[], timelines, memo, workspace)?;
+        Ok(self.collective_report(
+            schedule,
+            0.0,
+            run.end_ns,
+            run.dims,
+            &workspace.raw_ops,
+            labels.as_ref(),
+        ))
+    }
+
+    /// Runs admission-ordered collectives, issued at `issue_ns`, through
+    /// one merged loop.
+    fn run_merged(
+        &self,
+        issue_ns: &[f64],
+        schedules: &[Arc<CollectiveSchedule>],
+        tables: &[Arc<CostTable>],
+        workspace: &mut SimWorkspace,
+        plan_cache: Option<&CostTableCache>,
+    ) -> Result<LoopRun, SimError> {
+        let timelines = self.compile_faults(schedules, plan_cache)?;
+        if self.use_reference() {
+            self.run_reference(schedules, tables, issue_ns, timelines, true, workspace)
         } else {
-            self.run_overlapped_fast(entries, order, schedules, op_costs, workspace, plan_cache)
+            let memo = timelines.is_none().then_some((schedules, tables));
+            self.run_fast::<true, _, _>(schedules, tables, issue_ns, timelines, memo, workspace)
         }
     }
 
-    /// The original heap-backed merged loop, kept verbatim as the reference
-    /// implementation behind [`SimOptions::reference_engine`]. The fast loop
-    /// in [`StreamSimulator::run_overlapped_fast`] must stay bit-identical to
-    /// this one — the `differential` and `engine_equivalence` suites enforce
-    /// it.
-    fn run_overlapped_reference(
+    /// Compiles the fault plan once per collective — cost tables are
+    /// per-schedule, so each gets its own epoch tables, while all timelines
+    /// share the plan's epoch boundaries and blocked masks. `None` for a
+    /// healthy fabric, which keeps the loops on their exact fault-free float
+    /// path.
+    fn compile_faults<S: Borrow<CollectiveSchedule>>(
         &self,
-        entries: &[StreamEntry],
-        order: &[usize],
-        schedules: &[Arc<CollectiveSchedule>],
-        op_costs: &[Arc<CostTable>],
-        workspace: &mut SimWorkspace,
+        schedules: &[S],
         plan_cache: Option<&CostTableCache>,
-    ) -> Result<StreamReport, SimError> {
-        let num_dims = self.topo.num_dims();
-
-        // Cost tables are per-schedule, so the fault plan compiles once per
-        // admitted collective. All timelines share the same epoch boundaries
-        // and blocked masks (one plan), only the tables differ; slot 0 acts
-        // as the representative for boundary and block lookups.
-        let fault_timelines: Option<Vec<FaultTimeline>> = if self.options.faults.is_empty() {
-            None
-        } else {
-            let cost_model = CostModel::new();
-            Some(
-                schedules
-                    .iter()
-                    .map(|schedule| {
-                        self.options
-                            .faults
-                            .compile(self.topo, &cost_model, schedule, plan_cache)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
-        };
-        let mut epoch = 0usize;
-
-        let mut colls: Vec<CollState> = Vec::with_capacity(order.len());
-        for (slot, &index) in order.iter().enumerate() {
-            let enforced = if self.options.enforce_intra_dim_order {
-                Some(enforced_intra_dim_order(&schedules[slot], self.topo)?)
-            } else {
-                None
-            };
-            colls.push(CollState {
-                entry_index: index,
-                issue_ns: entries[index].clamped_issue_ns(),
-                outstanding_ops: schedules[slot]
-                    .chunks()
-                    .iter()
-                    .map(|c| c.stages.len())
-                    .sum(),
-                started: false,
-                start_ns: 0.0,
-                finish_ns: 0.0,
-                active_ns: 0.0,
-                overlapped_ns: 0.0,
-                dims: dims_template(self.topo),
-                raw_ops: Vec::new(),
-                enforced,
-                order_ptr: vec![0usize; num_dims],
-            });
+    ) -> Result<Option<Vec<FaultTimeline>>, SimError> {
+        if self.options.faults.is_empty() {
+            return Ok(None);
         }
+        schedules
+            .iter()
+            .map(|schedule| {
+                self.options
+                    .faults
+                    .compile(self.topo, self.cost, schedule.borrow(), plan_cache)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(Some)
+    }
 
-        let mut report = StreamReport::empty(
-            schedules.first().map_or("", |s| s.scheduler_name()),
-            self.topo.name(),
-            dims_template(self.topo),
-        );
+    /// The Sec. 4.6.2 enforced intra-dimension order of every collective,
+    /// or none when enforcement is off.
+    fn enforced_orders<S: Borrow<CollectiveSchedule>>(
+        &self,
+        schedules: &[S],
+    ) -> Result<Vec<EnforcedOrder>, SimError> {
+        if !self.options.enforce_intra_dim_order {
+            return Ok(Vec::new());
+        }
+        schedules
+            .iter()
+            .map(|schedule| Ok(enforced_intra_dim_order(schedule.borrow(), self.topo)?))
+            .collect()
+    }
 
-        workspace.prepare_stream(colls.len());
-        // Same contract as the pipeline engine: telemetry accumulates locally
-        // and flushes once after the merged loop; the simulated floats are
-        // untouched either way.
+    /// A collective's own report, in the time frame that starts at
+    /// `frame_ns`: stream spans pass their first issue time, the single-run
+    /// frame passes 0.0 and stays unshifted.
+    fn collective_report(
+        &self,
+        schedule: &CollectiveSchedule,
+        frame_ns: f64,
+        finish_ns: f64,
+        mut dims: Vec<DimReport>,
+        raw_ops: &[RawOp],
+        labels: Option<&LabelInterner>,
+    ) -> SimReport {
+        let op_log = match labels {
+            Some(labels) => raw_ops
+                .iter()
+                .map(|raw| {
+                    let stage_op = &schedule.chunks()[raw.chunk].stages[raw.stage];
+                    let mut op = labels.materialise(raw, stage_op);
+                    op.start_ns -= frame_ns;
+                    op.end_ns -= frame_ns;
+                    op
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        if frame_ns != 0.0 {
+            for dim in &mut dims {
+                for interval in &mut dim.presence_intervals {
+                    interval.0 -= frame_ns;
+                    interval.1 -= frame_ns;
+                }
+            }
+        }
+        SimReport {
+            scheduler_name: schedule.scheduler_name().to_string(),
+            topology_name: self.topo.name().to_string(),
+            total_time_ns: (finish_ns - frame_ns).max(0.0),
+            activity_window_ns: self.options.activity_window_ns,
+            dims,
+            op_log,
+        }
+    }
+
+    /// The data-oriented loop: per-op state lives in the flat [`OpMatrix`]
+    /// arrays (collectives concatenated into one dense op-id space), ready
+    /// ops are `u32`s in per-(dimension, collective) [`Lane`]s — cost-rank
+    /// bucket queues replacing the reference heaps — and `u64` masks let
+    /// every scan skip quiescent dimensions entirely.
+    ///
+    /// `MULTI = false` runs one collective issued at t = 0 and compiles out
+    /// admission, the vacancy tracker, the per-collective accounting and the
+    /// ready index: a dimension's one lane is its whole ready set. Every
+    /// simulated float operation happens in the same order on the same
+    /// values as [`Engine::run_reference`], so reports are bit-identical
+    /// (enforced by the `differential` suite).
+    #[allow(clippy::too_many_lines)]
+    fn run_fast<const MULTI: bool, S, T>(
+        &self,
+        schedules: &[S],
+        tables: &[T],
+        issue_ns: &[f64],
+        timelines: Option<Vec<FaultTimeline>>,
+        memo: Option<PlanArcs<'_>>,
+        workspace: &mut SimWorkspace,
+    ) -> Result<LoopRun, SimError>
+    where
+        S: Borrow<CollectiveSchedule>,
+        T: Borrow<CostTable>,
+    {
+        let num_dims = self.topo.num_dims();
+        debug_assert!(num_dims <= 64, "masked loop requires <= 64 dimensions");
+        let num_colls = schedules.len();
+        debug_assert!(MULTI || num_colls == 1, "one collective per single run");
+        let max_active = self.options.max_concurrent_ops_per_dim;
+        let record_op_log = self.options.record_op_log;
+        let enforced = self.enforced_orders(schedules)?;
+        let mut dims = DimReport::for_topology(self.topo);
+        let mut colls: Vec<CollState> = if MULTI {
+            schedules
+                .iter()
+                .zip(issue_ns)
+                .map(|(schedule, &issue)| CollState::new(issue, schedule.borrow(), self.topo))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        workspace.prepare_fast(num_dims, num_colls, MULTI);
+        // Telemetry accumulates locally (depth watermarks in the lanes and
+        // the ready index, busy/idle in the report) and flushes once after
+        // the loop; when disabled not even the clock is read. Either way the
+        // simulated floats are untouched, so reports stay bit-identical.
         let telemetry_on = workspace.telemetry.enabled();
         if telemetry_on {
             workspace.telemetry.ensure_dims(num_dims);
@@ -476,27 +710,481 @@ impl<'a> StreamSimulator<'a> {
         let cancel = workspace.cancel.clone();
         let mut cancel_iter: u64 = 0;
         let SimWorkspace {
-            stream_dims: dims,
-            stream_completions: completions,
-            coll_active,
-            coll_busy_on_dim,
-            coll_on_dim,
-            touched,
-            active_list,
+            ops,
+            matrix_memo,
+            lanes,
+            active,
+            completions,
+            ready,
+            last_busy_end,
+            raw_ops,
+            order_ptr,
+            accounts,
             telemetry,
             depth_scratch,
             ..
         } = workspace;
+
+        let need_ranks = !self.options.enforce_intra_dim_order
+            && schedules
+                .iter()
+                .any(|s| s.borrow().intra_dim_policy() == IntraDimPolicy::SmallestChunkFirst);
+        // Plan-served runs memoise the built matrix by `Arc` identity.
+        let matrix: &OpMatrix = match memo {
+            Some((schedules, tables)) => matrix_memo.get_or_build(schedules, tables, need_ranks),
+            None => {
+                ops.build(schedules, tables, timelines.as_deref(), need_ranks);
+                ops
+            }
+        };
+        for (coll, schedule) in schedules.iter().enumerate() {
+            let kind = if !enforced.is_empty() {
+                // Enforced runs need targeted removal in arrival order — the
+                // same linear layout the reference queues switch to.
+                LaneKind::Linear
+            } else if schedule.borrow().intra_dim_policy() == IntraDimPolicy::SmallestChunkFirst {
+                LaneKind::Scf
+            } else {
+                LaneKind::Fifo
+            };
+            for dim in 0..num_dims {
+                lanes[lane_index::<MULTI>(dim, coll, num_colls)]
+                    .reset(kind, matrix.num_ranks[coll]);
+            }
+        }
+        let mut vacancy = if MULTI {
+            VacancyTracker::from_stage_dims(
+                schedules.iter().map(|schedule| {
+                    schedule
+                        .borrow()
+                        .chunks()
+                        .iter()
+                        .flat_map(|chunk| chunk.stages.iter().map(|stage| stage.dim))
+                }),
+                num_dims,
+            )
+        } else {
+            VacancyTracker::default()
+        };
+
+        let mut epoch = 0usize;
+        let mut now = 0.0f64;
+        let mut outstanding = 0usize;
+        let mut admit_ptr = 0usize;
+        let mut stall_counter = 0usize;
+        // Bit `d` set ⇔ dimension `d` has ready (resp. in-flight) ops. Their
+        // union is the live set; everything else is quiescent and skipped.
+        let mut ready_mask = 0u64;
+        let mut busy_mask = 0u64;
+        let mut network_busy_ns = 0.0f64;
+        let mut overlap_ns = 0.0f64;
+        let mut events_batched = 0u64;
+        let mut dims_quiesced = 0u64;
+
+        if !MULTI {
+            // The one collective is issued at t = 0: it is admitted before
+            // the first iteration.
+            outstanding = matrix.num_ops;
+            admit::<MULTI>(
+                matrix,
+                schedules[0].borrow(),
+                tables[0].borrow(),
+                0,
+                num_colls,
+                epoch,
+                lanes,
+                ready,
+                &mut ready_mask,
+            );
+        }
+        while (MULTI && admit_ptr < num_colls) || outstanding > 0 {
+            if let Some(token) = &cancel {
+                if token.should_stop(cancel_iter) {
+                    return Err(SimError::Cancelled { at_ns: now });
+                }
+                cancel_iter += 1;
+            }
+            // The fabric state of the current fault epoch, shared across
+            // collectives (one plan, one set of boundaries and blocks).
+            let (blocked_dims, next_fault): (u64, Option<f64>) = match timelines.as_deref() {
+                Some([timeline, ..]) => (
+                    soa::blocked_mask(&timeline.epochs()[epoch].blocked),
+                    timeline.epoch_start(epoch + 1),
+                ),
+                _ => (0, None),
+            };
+
+            if MULTI {
+                // Event-driven admission: collectives whose issue time has
+                // arrived enter the ready lanes (their chunks' first stages).
+                while admit_ptr < num_colls && colls[admit_ptr].issue_ns <= now {
+                    let coll = admit_ptr;
+                    admit_ptr += 1;
+                    let state = &mut colls[coll];
+                    if state.outstanding_ops == 0 {
+                        // A degenerate collective with no stages completes at
+                        // admission.
+                        state.started = true;
+                        state.start_ns = now;
+                        state.finish_ns = now;
+                        continue;
+                    }
+                    outstanding += state.outstanding_ops;
+                    admit::<MULTI>(
+                        matrix,
+                        schedules[coll].borrow(),
+                        tables[coll].borrow(),
+                        coll,
+                        num_colls,
+                        epoch,
+                        lanes,
+                        ready,
+                        &mut ready_mask,
+                    );
+                }
+            }
+
+            // Issue on live, unblocked dimensions only; failed dimensions
+            // issue nothing, their ready ops wait for a recovery boundary. A
+            // dimension serves the earliest admitted collective that has not
+            // vacated it, so chunks of collective k+1 only start on
+            // dimensions collective k is done with.
+            for dim in BitIter(ready_mask & !blocked_dims) {
+                while active[dim].len() < max_active {
+                    let coll = if MULTI {
+                        if ready.count[dim] == 0 {
+                            break;
+                        }
+                        let Some(coll) = vacancy.owner(dim, admit_ptr) else {
+                            break;
+                        };
+                        coll
+                    } else {
+                        0
+                    };
+                    let lane = &mut lanes[lane_index::<MULTI>(dim, coll, num_colls)];
+                    if lane.is_empty() {
+                        // The owner has work left on this dimension but none
+                        // of it is ready yet: the dimension waits rather than
+                        // letting a later collective in ahead of it.
+                        break;
+                    }
+                    let op = if enforced.is_empty() {
+                        // The lane is policy-ordered: the pop *is* the
+                        // FIFO/SCF pick.
+                        lane.pop().expect("ready lane is non-empty")
+                    } else {
+                        let cursor = &mut order_ptr[coll * num_dims + dim];
+                        let Some(&(chunk, stage)) = enforced[coll].for_dim(dim).get(*cursor) else {
+                            break;
+                        };
+                        let target = matrix.coll_base[coll] as usize
+                            + tables[coll].borrow().offsets()[chunk]
+                            + stage;
+                        match lane.take(target as u32) {
+                            Some(op) => {
+                                *cursor += 1;
+                                op
+                            }
+                            // The next op in the enforced order is not ready
+                            // yet: the dimension waits for it rather than
+                            // running another op out of turn.
+                            None => break,
+                        }
+                    };
+                    if MULTI {
+                        ready.pop(dim, coll, lane.is_empty());
+                    }
+                    let opx = op as usize;
+                    // Pay the fixed delay `A_K` only when the dimension
+                    // (re)starts its pipeline after an idle period (Sec. 4.4
+                    // charges it per dimension, not per chunk): back-to-back
+                    // ops overlap their step latencies with the
+                    // predecessor's transfer, whichever collective they
+                    // belong to. `work` was precomputed with the identical
+                    // float addition the reference loop performs.
+                    let resuming_after_idle =
+                        active[dim].is_empty() && now > last_busy_end[dim] + 1e-6;
+                    let starting_cold = last_busy_end[dim] == f64::NEG_INFINITY;
+                    let work_ns = if resuming_after_idle || starting_cold {
+                        matrix.work_at(epoch, opx)
+                    } else {
+                        matrix.transfer_at(epoch, opx)
+                    };
+                    if MULTI && !colls[coll].started {
+                        colls[coll].started = true;
+                        colls[coll].start_ns = now;
+                    }
+                    active[dim].push(op, work_ns, now);
+                    busy_mask |= 1u64 << dim;
+                }
+                let drained = if MULTI {
+                    ready.count[dim] == 0
+                } else {
+                    lanes[dim].is_empty()
+                };
+                if drained {
+                    ready_mask &= !(1u64 << dim);
+                }
+            }
+
+            let next_admission = if MULTI {
+                colls.get(admit_ptr).map(|c| c.issue_ns)
+            } else {
+                None
+            };
+            if busy_mask == 0 {
+                // Nothing is executing: jump across the idle gap to the next
+                // event — an admission or a fault boundary (e.g. the recovery
+                // of a failed dimension holding every ready op) — or, with
+                // neither left, declare a stall (e.g. an enforced-order
+                // deadlock or a permanent link failure).
+                match next_event(next_admission, next_fault) {
+                    Some((at, is_fault)) => {
+                        now = at.max(now);
+                        epoch += usize::from(is_fault);
+                        continue;
+                    }
+                    // Only collectives without stages were left: done.
+                    None if outstanding == 0 => break,
+                    None => {}
+                }
+                let pending = lanes[..num_dims * num_colls].iter().map(Lane::len).sum();
+                return Err(SimError::Stalled {
+                    at_ns: now,
+                    outstanding_ops: pending,
+                });
+            }
+
+            // Earliest completion under processor sharing, scanning busy
+            // dimensions only; capped by the next admission and fault events.
+            // `min(remaining) * k` is bitwise the reference's minimum over
+            // per-op `remaining * k` products: multiplying by the positive op
+            // count is monotone, so the order of min and multiply commutes.
+            let mut delta = f64::INFINITY;
+            for dim in BitIter(busy_mask) {
+                let set = &active[dim];
+                delta = delta.min(set.min_remaining() * set.len() as f64);
+            }
+            let (delta, advance_to_admission, advance_to_fault) =
+                cap_step(delta, now, next_admission, next_fault);
+            guard_progress(
+                &mut stall_counter,
+                delta > 0.0 || advance_to_admission || advance_to_fault,
+                now,
+                outstanding,
+            )?;
+
+            // Account the segment [now, now + delta) on live dimensions; the
+            // quiescent remainder skips all bookkeeping (and is counted).
+            if delta > 0.0 {
+                let live = busy_mask | ready_mask;
+                dims_quiesced += num_dims as u64 - u64::from(live.count_ones());
+                for dim in BitIter(live) {
+                    let dim_report = &mut dims[dim];
+                    if busy_mask & (1u64 << dim) != 0 {
+                        dim_report.busy_ns += delta;
+                    }
+                    push_presence(&mut dim_report.presence_intervals, now, now + delta);
+                    if MULTI {
+                        let in_flight = active[dim].ops().iter();
+                        accounts.charge_dim(
+                            &mut colls,
+                            dim,
+                            in_flight.map(|&op| matrix.coll[op as usize] as usize),
+                            &ready.colls[dim],
+                            now,
+                            delta,
+                        );
+                    }
+                }
+                if MULTI {
+                    accounts.close_segment(
+                        &mut colls,
+                        delta,
+                        &mut network_busy_ns,
+                        &mut overlap_ns,
+                    );
+                }
+            }
+
+            // Charge each dimension's `delta / k` share and collect this
+            // timestamp's completions in one sweep per busy dimension, then a
+            // deterministic sort. `(dim, op id)` is the reference's
+            // `(dim, coll, chunk)` order: collective blocks are concatenated
+            // in admission order, op ids are monotone in chunk within a
+            // block, and each `(dim, chunk)` pair completes at most once per
+            // step (a chunk's stages run sequentially).
+            completions.clear();
+            for dim in BitIter(busy_mask) {
+                let set = &mut active[dim];
+                let share = delta / set.len() as f64;
+                if set.advance(share, dim as u32, completions) {
+                    busy_mask &= !(1u64 << dim);
+                }
+            }
+            now = if advance_to_fault {
+                epoch += 1;
+                next_fault.expect("fault boundary exists when advancing to it")
+            } else if advance_to_admission {
+                next_admission.expect("admission event exists")
+            } else {
+                now + delta
+            };
+
+            if completions.len() > 1 {
+                completions.sort_unstable_by(|a, b| a.dim.cmp(&b.dim).then(a.op.cmp(&b.op)));
+                events_batched += completions.len() as u64;
+            }
+
+            for &Completion { dim, op, start_ns } in completions.iter() {
+                let dim = dim as usize;
+                let opx = op as usize;
+                let coll = if MULTI { matrix.coll[opx] as usize } else { 0 };
+                dims[dim].wire_bytes += matrix.wire[opx];
+                dims[dim].ops_executed += 1;
+                let raw = || RawOp {
+                    dim,
+                    chunk: matrix.chunk[opx] as usize,
+                    stage: matrix.stage[opx] as usize,
+                    start_ns,
+                    end_ns: now,
+                };
+                if MULTI {
+                    vacancy.complete(coll, dim);
+                    let state = &mut colls[coll];
+                    state.dims[dim].wire_bytes += matrix.wire[opx];
+                    state.dims[dim].ops_executed += 1;
+                    if record_op_log {
+                        state.raw_ops.push(raw());
+                    }
+                    state.outstanding_ops -= 1;
+                    if state.outstanding_ops == 0 {
+                        state.finish_ns = now;
+                    }
+                } else if record_op_log {
+                    raw_ops.push(raw());
+                }
+                last_busy_end[dim] = now;
+                outstanding -= 1;
+                // The successor is the next dense op id; its SCF rank prices
+                // against the post-boundary epoch, like the reference loop.
+                if !matrix.last_stage[opx] {
+                    let succ = opx + 1;
+                    let target = matrix.dim[succ] as usize;
+                    enqueue::<MULTI>(
+                        lanes,
+                        ready,
+                        num_colls,
+                        target,
+                        coll,
+                        succ as u32,
+                        matrix.rank_at(epoch, succ),
+                    );
+                    ready_mask |= 1u64 << target;
+                }
+            }
+        }
+
+        if let Some(started) = loop_started {
+            // The lanes and the ready index track their own depth high-water
+            // marks as they fill, so telemetry reads them here instead of
+            // sampling inside the event loop.
+            depth_scratch.clear();
+            let makespan = if MULTI {
+                depth_scratch.extend(ready.high_water.iter().take(num_dims));
+                colls
+                    .iter()
+                    .fold(0.0, |finish: f64, c| finish.max(c.finish_ns))
+            } else {
+                depth_scratch.extend(lanes.iter().take(num_dims).map(Lane::high_water));
+                now
+            };
+            telemetry.flush_run(
+                &dims,
+                makespan,
+                depth_scratch,
+                MULTI,
+                started.elapsed(),
+                LoopCounters {
+                    events_batched,
+                    dims_quiesced,
+                },
+            );
+        }
+        Ok(LoopRun {
+            dims,
+            end_ns: now,
+            network_busy_ns,
+            overlap_ns,
+            colls,
+        })
+    }
+
+    /// The original heap-backed merged loop, kept as the reference
+    /// implementation behind [`SimOptions::reference_engine`] (and the
+    /// fallback past 64 dimensions). [`Engine::run_fast`] must stay
+    /// bit-identical to it — the `differential` and `engine_equivalence`
+    /// suites enforce it. `multi` only picks the telemetry histogram the
+    /// run flushes into.
+    #[allow(clippy::too_many_lines)]
+    #[inline(never)]
+    fn run_reference<S, T>(
+        &self,
+        schedules: &[S],
+        tables: &[T],
+        issue_ns: &[f64],
+        timelines: Option<Vec<FaultTimeline>>,
+        multi: bool,
+        workspace: &mut SimWorkspace,
+    ) -> Result<LoopRun, SimError>
+    where
+        S: Borrow<CollectiveSchedule>,
+        T: Borrow<CostTable>,
+    {
+        let num_dims = self.topo.num_dims();
+        let enforced = self.enforced_orders(schedules)?;
+        let mut colls: Vec<CollState> = schedules
+            .iter()
+            .zip(issue_ns)
+            .map(|(schedule, &issue)| CollState::new(issue, schedule.borrow(), self.topo))
+            .collect();
+        let mut dims_report = DimReport::for_topology(self.topo);
+        let mut network_busy_ns = 0.0f64;
+        let mut overlap_ns = 0.0f64;
+        let mut epoch = 0usize;
+
+        workspace.prepare_reference(num_dims, colls.len());
+        // Same contract as the fast loop: telemetry accumulates locally and
+        // flushes once after the loop; the simulated floats are untouched
+        // either way.
+        let telemetry_on = workspace.telemetry.enabled();
+        if telemetry_on {
+            workspace.telemetry.ensure_dims(num_dims);
+        }
+        let loop_started = telemetry_on.then(std::time::Instant::now);
+        let cancel = workspace.cancel.clone();
+        let mut cancel_iter: u64 = 0;
+        let SimWorkspace {
+            queues: dims,
+            queue_completions: completions,
+            order_ptr,
+            accounts,
+            telemetry,
+            depth_scratch,
+            ..
+        } = workspace;
+        let layouts = || {
+            schedules
+                .iter()
+                .map(|schedule| (schedule.borrow().intra_dim_policy(), !enforced.is_empty()))
+        };
         dims.truncate(num_dims);
         for queue in dims.iter_mut() {
-            queue.reset(colls.iter().enumerate().map(|(slot, state)| {
-                (schedules[slot].intra_dim_policy(), state.enforced.is_some())
-            }));
+            queue.reset(layouts());
         }
         while dims.len() < num_dims {
-            dims.push(DimQueue::new(colls.iter().enumerate().map(
-                |(slot, state)| (schedules[slot].intra_dim_policy(), state.enforced.is_some()),
-            )));
+            dims.push(DimQueue::new(layouts()));
         }
         // The tracker only needs per-(collective, dimension) op counts, so the
         // stage dims stream straight into it without materialising a vector
@@ -504,21 +1192,19 @@ impl<'a> StreamSimulator<'a> {
         let mut vacancy = VacancyTracker::from_stage_dims(
             schedules.iter().map(|schedule| {
                 schedule
+                    .borrow()
                     .chunks()
                     .iter()
                     .flat_map(|chunk| chunk.stages.iter().map(|stage| stage.dim))
             }),
             num_dims,
         );
+        let timelines = timelines.as_deref();
         let mut arrival: u64 = 0;
         let mut now = 0.0f64;
         let mut outstanding = 0usize;
         let mut admit_ptr = 0usize;
         let mut stall_counter = 0usize;
-        // Per-segment accounting scratch lives in the workspace (prepared
-        // above), so it is reused across *cells*, not just steps. The flags
-        // are reset through `touched`/`active_list` so a segment costs O(ops
-        // and collectives in flight), not O(dims × collectives).
 
         while admit_ptr < colls.len() || outstanding > 0 {
             if let Some(token) = &cancel {
@@ -529,15 +1215,12 @@ impl<'a> StreamSimulator<'a> {
             }
             // The fabric state of the current fault epoch (shared across
             // collectives: one plan, one set of boundaries and blocks).
-            let (blocked, next_fault): (Option<&[bool]>, Option<f64>) = match &fault_timelines {
-                Some(timelines) => match timelines.first() {
-                    Some(timeline) => (
-                        Some(&timeline.epochs()[epoch].blocked),
-                        timeline.epoch_start(epoch + 1),
-                    ),
-                    None => (None, None),
-                },
-                None => (None, None),
+            let (blocked, next_fault): (Option<&[bool]>, Option<f64>) = match timelines {
+                Some([timeline, ..]) => (
+                    Some(&timeline.epochs()[epoch].blocked),
+                    timeline.epoch_start(epoch + 1),
+                ),
+                _ => (None, None),
             };
 
             // Event-driven admission: collectives whose issue time has arrived
@@ -555,14 +1238,14 @@ impl<'a> StreamSimulator<'a> {
                     continue;
                 }
                 outstanding += state.outstanding_ops;
-                for (chunk_idx, chunk) in schedules[coll].chunks().iter().enumerate() {
+                for (chunk_idx, chunk) in schedules[coll].borrow().chunks().iter().enumerate() {
                     if let Some(first) = chunk.stages.first() {
                         dims[first.dim].push_ready(PendingOp {
                             arrival,
                             coll,
                             chunk: chunk_idx,
                             stage: 0,
-                            cost_ns: epoch_table(&fault_timelines, op_costs, epoch, coll)
+                            cost_ns: epoch_table(timelines, tables, epoch, coll)
                                 .cost(chunk_idx, 0)
                                 .transfer_ns,
                         });
@@ -594,37 +1277,34 @@ impl<'a> StreamSimulator<'a> {
                         // letting a later collective in ahead of it.
                         break;
                     }
-                    let op = match &colls[coll].enforced {
-                        Some(enforced_order) => {
-                            let Some(&(chunk, stage)) =
-                                enforced_order.for_dim(dim).get(colls[coll].order_ptr[dim])
-                            else {
-                                break;
-                            };
-                            match queue.take_matching(coll, chunk, stage) {
-                                Some(op) => {
-                                    colls[coll].order_ptr[dim] += 1;
-                                    op
-                                }
-                                // The collective's next enforced op is not
-                                // ready yet: the dimension waits for it rather
-                                // than running a later collective out of turn.
-                                None => break,
-                            }
-                        }
+                    let op = if enforced.is_empty() {
                         // The priority collective's bucket is policy-ordered:
                         // the pop *is* its FIFO/SCF pick.
-                        None => queue.pop_next(coll).expect("bucket is non-empty"),
+                        queue.pop_next(coll).expect("bucket is non-empty")
+                    } else {
+                        let cursor = &mut order_ptr[coll * num_dims + dim];
+                        let Some(&(chunk, stage)) = enforced[coll].for_dim(dim).get(*cursor) else {
+                            break;
+                        };
+                        match queue.take_matching(coll, chunk, stage) {
+                            Some(op) => {
+                                *cursor += 1;
+                                op
+                            }
+                            // The collective's next enforced op is not ready
+                            // yet: the dimension waits for it rather than
+                            // running another op out of turn.
+                            None => break,
+                        }
                     };
                     // Ops price against the table of the epoch they are
                     // *issued* in; once started they complete at that cost
                     // even if a fault hits mid-flight.
-                    let cost = epoch_table(&fault_timelines, op_costs, epoch, op.coll)
-                        .cost(op.chunk, op.stage);
+                    let cost =
+                        epoch_table(timelines, tables, epoch, op.coll).cost(op.chunk, op.stage);
                     // Pay the fixed delay only when the dimension restarts
-                    // after an idle period (same rule as the pipeline
-                    // simulator; the dimension does not care which collective
-                    // the back-to-back ops belong to).
+                    // after an idle period; the dimension does not care which
+                    // collective the back-to-back ops belong to.
                     let resuming_after_idle =
                         queue.active.is_empty() && now > queue.last_busy_end_ns + 1e-6;
                     let starting_cold = queue.last_busy_end_ns == f64::NEG_INFINITY;
@@ -651,26 +1331,16 @@ impl<'a> StreamSimulator<'a> {
             let next_admission = colls.get(admit_ptr).map(|c| c.issue_ns);
             if !any_active {
                 // Nothing is executing: jump across the idle gap to the next
-                // event — an admission or a fault boundary (e.g. the recovery
-                // of a failed dimension holding every ready op), whichever
-                // comes first — or, with neither left, declare a stall (e.g.
-                // an enforced-order deadlock or a permanent link failure).
-                match (next_admission, next_fault) {
-                    (Some(admission), Some(fault)) if fault <= admission => {
-                        now = fault.max(now);
-                        epoch += 1;
+                // event, or, with none left, declare a stall.
+                match next_event(next_admission, next_fault) {
+                    Some((at, is_fault)) => {
+                        now = at.max(now);
+                        epoch += usize::from(is_fault);
                         continue;
                     }
-                    (Some(admission), _) => {
-                        now = admission.max(now);
-                        continue;
-                    }
-                    (None, Some(fault)) => {
-                        now = fault.max(now);
-                        epoch += 1;
-                        continue;
-                    }
-                    (None, None) => {}
+                    // Only collectives without stages were left: done.
+                    None if outstanding == 0 => break,
+                    None => {}
                 }
                 let pending: usize = dims.iter().map(DimQueue::ready_len).sum();
                 return Err(SimError::Stalled {
@@ -679,8 +1349,9 @@ impl<'a> StreamSimulator<'a> {
                 });
             }
 
-            // Time until the earliest completion under processor sharing,
-            // capped by the next admission event.
+            // Time until the earliest completion under processor sharing (an
+            // op with `k` siblings progresses at rate 1/k), capped by the next
+            // admission event.
             let mut delta = f64::INFINITY;
             for queue in dims.iter() {
                 let k = queue.active.len() as f64;
@@ -688,99 +1359,34 @@ impl<'a> StreamSimulator<'a> {
                     delta = delta.min(op.remaining_work_ns * k);
                 }
             }
-            let mut advance_to_admission = false;
-            if let Some(at) = next_admission {
-                let gap = (at - now).max(0.0);
-                if gap <= delta {
-                    delta = gap;
-                    advance_to_admission = true;
-                }
-            }
-            // Fault boundaries cap the advance too; on a strict win the
-            // admission flag clears (the admission still happens next
-            // iteration once `now` has crossed its issue time).
-            let mut advance_to_fault = false;
-            if let Some(at) = next_fault {
-                let gap = (at - now).max(0.0);
-                if gap <= delta {
-                    if gap < delta {
-                        advance_to_admission = false;
-                    }
-                    delta = gap;
-                    advance_to_fault = true;
-                }
-            }
-            if !delta.is_finite() {
-                delta = 0.0;
-            }
-
-            if delta <= 0.0 && !advance_to_admission && !advance_to_fault {
-                stall_counter += 1;
-                if stall_counter > STALL_GUARD {
-                    return Err(SimError::Stalled {
-                        at_ns: now,
-                        outstanding_ops: outstanding,
-                    });
-                }
-            } else {
-                stall_counter = 0;
-            }
+            let (delta, advance_to_admission, advance_to_fault) =
+                cap_step(delta, now, next_admission, next_fault);
+            guard_progress(
+                &mut stall_counter,
+                delta > 0.0 || advance_to_admission || advance_to_fault,
+                now,
+                outstanding,
+            )?;
 
             // Account statistics for the segment [now, now + delta).
             if delta > 0.0 {
-                active_list.clear();
                 for (dim, queue) in dims.iter().enumerate() {
                     if !queue.active.is_empty() {
-                        report.dims[dim].busy_ns += delta;
+                        dims_report[dim].busy_ns += delta;
                     }
                     if queue.occupied() {
-                        push_presence(&mut report.dims[dim].presence_intervals, now, now + delta);
+                        push_presence(&mut dims_report[dim].presence_intervals, now, now + delta);
                     }
-                    touched.clear();
-                    for op in &queue.active {
-                        if !coll_active[op.coll] {
-                            coll_active[op.coll] = true;
-                            active_list.push(op.coll);
-                        }
-                        coll_busy_on_dim[op.coll] = true;
-                        if !coll_on_dim[op.coll] {
-                            coll_on_dim[op.coll] = true;
-                            touched.push(op.coll);
-                        }
-                    }
-                    for &coll in queue.ready_colls() {
-                        if !coll_on_dim[coll] {
-                            coll_on_dim[coll] = true;
-                            touched.push(coll);
-                        }
-                    }
-                    for &coll in touched.iter() {
-                        let state = &mut colls[coll];
-                        if coll_busy_on_dim[coll] {
-                            state.dims[dim].busy_ns += delta;
-                        }
-                        push_presence(&mut state.dims[dim].presence_intervals, now, now + delta);
-                        coll_busy_on_dim[coll] = false;
-                        coll_on_dim[coll] = false;
-                    }
+                    accounts.charge_dim(
+                        &mut colls,
+                        dim,
+                        queue.active.iter().map(|op| op.coll),
+                        queue.ready_colls(),
+                        now,
+                        delta,
+                    );
                 }
-                // Per-collective accumulators are independent, so visiting the
-                // active collectives in first-seen order (instead of index
-                // order) adds the same `delta` to the same counters.
-                let active_colls = active_list.len();
-                if active_colls >= 1 {
-                    report.network_busy_ns += delta;
-                }
-                if active_colls >= 2 {
-                    report.overlap_ns += delta;
-                }
-                for &coll in active_list.iter() {
-                    colls[coll].active_ns += delta;
-                    if active_colls >= 2 {
-                        colls[coll].overlapped_ns += delta;
-                    }
-                    coll_active[coll] = false;
-                }
+                accounts.close_segment(&mut colls, delta, &mut network_busy_ns, &mut overlap_ns);
             }
 
             // Advance all active ops.
@@ -821,10 +1427,10 @@ impl<'a> StreamSimulator<'a> {
             });
 
             for &(dim, op) in completions.iter() {
-                let cost = op_costs[op.coll].cost(op.chunk, op.stage);
+                let cost = tables[op.coll].borrow().cost(op.chunk, op.stage);
                 vacancy.complete(op.coll, dim);
-                report.dims[dim].wire_bytes += cost.wire_bytes;
-                report.dims[dim].ops_executed += 1;
+                dims_report[dim].wire_bytes += cost.wire_bytes;
+                dims_report[dim].ops_executed += 1;
                 let state = &mut colls[op.coll];
                 state.dims[dim].wire_bytes += cost.wire_bytes;
                 state.dims[dim].ops_executed += 1;
@@ -843,21 +1449,20 @@ impl<'a> StreamSimulator<'a> {
                 if state.outstanding_ops == 0 {
                     state.finish_ns = now;
                 }
-                let next_stage = op.stage + 1;
-                if next_stage < schedules[op.coll].chunks()[op.chunk].stages.len() {
-                    let target = schedules[op.coll].chunks()[op.chunk].stages[next_stage].dim;
+                let stages = &schedules[op.coll].borrow().chunks()[op.chunk].stages;
+                if let Some(next) = stages.get(op.stage + 1) {
                     // Successor ops become ready after any epoch switch
                     // above, so their SCF cost keys price against the
                     // post-boundary table. (Completion-side `wire_bytes`
                     // accounting keeps the base table: wire bytes never
                     // depend on bandwidth, so every epoch table agrees.)
-                    dims[target].push_ready(PendingOp {
+                    dims[next.dim].push_ready(PendingOp {
                         arrival,
                         coll: op.coll,
                         chunk: op.chunk,
-                        stage: next_stage,
-                        cost_ns: epoch_table(&fault_timelines, op_costs, epoch, op.coll)
-                            .cost(op.chunk, next_stage)
+                        stage: op.stage + 1,
+                        cost_ns: epoch_table(timelines, tables, epoch, op.coll)
+                            .cost(op.chunk, op.stage + 1)
                             .transfer_ns,
                     });
                     arrival += 1;
@@ -865,648 +1470,110 @@ impl<'a> StreamSimulator<'a> {
             }
         }
 
-        // Assemble spans: shift each collective's statistics into its own
-        // time frame so the embedded report reads like a standalone run.
-        // Labels are resolved here, once per executed op, from the interned
-        // table — the event loop above never formatted a string.
-        let labels = self
-            .options
-            .record_op_log
-            .then(|| LabelInterner::for_dims(num_dims));
-        for (slot, state) in colls.into_iter().enumerate() {
-            let start = state.start_ns;
-            let op_log = match &labels {
-                Some(labels) => state
-                    .raw_ops
-                    .iter()
-                    .map(|raw| {
-                        let stage_op = &schedules[slot].chunks()[raw.chunk].stages[raw.stage];
-                        let mut op = labels.materialise(raw, stage_op);
-                        op.start_ns -= start;
-                        op.end_ns -= start;
-                        op
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            let mut sim_report = SimReport {
-                scheduler_name: schedules[slot].scheduler_name().to_string(),
-                topology_name: self.topo.name().to_string(),
-                total_time_ns: (state.finish_ns - start).max(0.0),
-                activity_window_ns: self.options.activity_window_ns,
-                dims: state.dims,
-                op_log,
-            };
-            for dim in &mut sim_report.dims {
-                for interval in &mut dim.presence_intervals {
-                    interval.0 -= start;
-                    interval.1 -= start;
-                }
-            }
-            report.finish_ns = report.finish_ns.max(state.finish_ns);
-            report.spans.push(CollectiveSpan {
-                index: state.entry_index,
-                label: entries[state.entry_index].label.clone(),
-                issue_ns: state.issue_ns,
-                start_ns: state.start_ns,
-                finish_ns: state.finish_ns,
-                active_ns: state.active_ns,
-                overlapped_ns: state.overlapped_ns,
-                report: sim_report,
-            });
-        }
         if let Some(started) = loop_started {
             // The queues track their own depth high-water marks in
             // `push_ready`, so telemetry reads them here instead of sampling
             // inside the event loop.
             depth_scratch.clear();
             depth_scratch.extend(dims.iter().map(DimQueue::ready_high_water));
+            let makespan = if multi {
+                colls
+                    .iter()
+                    .fold(0.0, |finish: f64, c| finish.max(c.finish_ns))
+            } else {
+                now
+            };
             telemetry.flush_run(
-                &report.dims,
-                report.finish_ns,
+                &dims_report,
+                makespan,
                 depth_scratch,
-                true,
+                multi,
                 started.elapsed(),
                 LoopCounters::default(),
             );
         }
-        Ok(report)
+        Ok(LoopRun {
+            dims: dims_report,
+            end_ns: now,
+            network_busy_ns,
+            overlap_ns,
+            colls,
+        })
     }
+}
 
-    /// The data-oriented merged loop: per-op state lives in the flat
-    /// [`soa::OpMatrix`] arrays (collectives concatenated into one dense op-id
-    /// space), ready ops are `u32`s in per-(dimension, collective)
-    /// [`Lane`]s — cost-rank bucket queues replacing the per-bucket heaps —
-    /// and `u64` masks let every scan skip quiescent dimensions entirely.
-    ///
-    /// Every simulated float operation happens in the same order on the same
-    /// values as [`StreamSimulator::run_overlapped_reference`], so reports
-    /// are bit-identical (enforced by the `differential` fuzz suite).
-    #[allow(clippy::too_many_lines)]
-    fn run_overlapped_fast(
-        &self,
-        entries: &[StreamEntry],
-        order: &[usize],
-        schedules: &[Arc<CollectiveSchedule>],
-        op_costs: &[Arc<CostTable>],
-        workspace: &mut SimWorkspace,
-        plan_cache: Option<&CostTableCache>,
-    ) -> Result<StreamReport, SimError> {
-        let num_dims = self.topo.num_dims();
-        debug_assert!(num_dims <= 64, "masked loop requires <= 64 dimensions");
-        let num_colls = order.len();
+/// Index of collective `coll`'s lane on `dim`: lanes are dimension-major,
+/// and a single-collective run has exactly one lane per dimension.
+#[inline(always)]
+fn lane_index<const MULTI: bool>(dim: usize, coll: usize, num_colls: usize) -> usize {
+    if MULTI {
+        dim * num_colls + coll
+    } else {
+        dim
+    }
+}
 
-        let fault_timelines: Option<Vec<FaultTimeline>> = if self.options.faults.is_empty() {
-            None
-        } else {
-            let cost_model = CostModel::new();
-            Some(
-                schedules
-                    .iter()
-                    .map(|schedule| {
-                        self.options
-                            .faults
-                            .compile(self.topo, &cost_model, schedule, plan_cache)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
-        };
-        let mut epoch = 0usize;
+/// Makes `op` of collective `coll` ready on `dim`; a merged run also
+/// records it in the dimension's ready index. Pushes arrive in global arrival
+/// order, so lane FIFO order is the reference tie-break.
+#[inline(always)]
+fn enqueue<const MULTI: bool>(
+    lanes: &mut [Lane],
+    ready: &mut ReadyIndex,
+    num_colls: usize,
+    dim: usize,
+    coll: usize,
+    op: u32,
+    rank: u32,
+) {
+    let lane = &mut lanes[lane_index::<MULTI>(dim, coll, num_colls)];
+    if MULTI {
+        ready.push(dim, coll, lane.is_empty());
+    }
+    lane.push(op, rank);
+}
 
-        let mut colls: Vec<CollState> = Vec::with_capacity(num_colls);
-        for (slot, &index) in order.iter().enumerate() {
-            let enforced = if self.options.enforce_intra_dim_order {
-                Some(enforced_intra_dim_order(&schedules[slot], self.topo)?)
-            } else {
-                None
-            };
-            colls.push(CollState {
-                entry_index: index,
-                issue_ns: entries[index].clamped_issue_ns(),
-                outstanding_ops: schedules[slot]
-                    .chunks()
-                    .iter()
-                    .map(|c| c.stages.len())
-                    .sum(),
-                started: false,
-                start_ns: 0.0,
-                finish_ns: 0.0,
-                active_ns: 0.0,
-                overlapped_ns: 0.0,
-                dims: dims_template(self.topo),
-                raw_ops: Vec::new(),
-                enforced,
-                order_ptr: vec![0usize; num_dims],
-            });
+/// Admits collective `coll`: its chunks' first stages become ready, in chunk
+/// order, with SCF ranks priced at `epoch`.
+#[allow(clippy::too_many_arguments)]
+fn admit<const MULTI: bool>(
+    matrix: &OpMatrix,
+    schedule: &CollectiveSchedule,
+    table: &CostTable,
+    coll: usize,
+    num_colls: usize,
+    epoch: usize,
+    lanes: &mut [Lane],
+    ready: &mut ReadyIndex,
+    ready_mask: &mut u64,
+) {
+    let base = matrix.coll_base[coll] as usize;
+    let offsets = table.offsets();
+    for (chunk_idx, chunk) in schedule.chunks().iter().enumerate() {
+        if chunk.stages.is_empty() {
+            continue;
         }
-
-        let mut report = StreamReport::empty(
-            schedules.first().map_or("", |s| s.scheduler_name()),
-            self.topo.name(),
-            dims_template(self.topo),
+        let op = base + offsets[chunk_idx];
+        let dim = matrix.dim[op] as usize;
+        enqueue::<MULTI>(
+            lanes,
+            ready,
+            num_colls,
+            dim,
+            coll,
+            op as u32,
+            matrix.rank_at(epoch, op),
         );
-
-        workspace.prepare_fast_stream(num_dims, num_colls);
-        let telemetry_on = workspace.telemetry.enabled();
-        if telemetry_on {
-            workspace.telemetry.ensure_dims(num_dims);
-        }
-        let loop_started = telemetry_on.then(std::time::Instant::now);
-        // Same cooperative-cancellation poll as the reference loop.
-        let cancel = workspace.cancel.clone();
-        let mut cancel_iter: u64 = 0;
-        let SimWorkspace {
-            ops,
-            matrix_memo,
-            fast_lanes: lanes,
-            fast_active: active,
-            fast_completions: completions,
-            fast_ready_colls: ready_colls,
-            fast_ready_count: ready_count,
-            fast_high_water: high_water,
-            pipe_last_busy_end: last_busy_end,
-            coll_active,
-            coll_busy_on_dim,
-            coll_on_dim,
-            touched,
-            active_list,
-            telemetry,
-            depth_scratch,
-            ..
-        } = workspace;
-
-        let need_ranks = !self.options.enforce_intra_dim_order
-            && schedules
-                .iter()
-                .any(|s| s.intra_dim_policy() == IntraDimPolicy::SmallestChunkFirst);
-        // Plan-served streams memoise the built matrix by `Arc` identity;
-        // fault timelines are per-run inputs, so faulted runs build fresh.
-        let matrix: &OpMatrix = if fault_timelines.is_none() {
-            matrix_memo.get_or_build_stream(schedules, op_costs, need_ranks)
-        } else {
-            ops.build_stream(schedules, op_costs, fault_timelines.as_deref(), need_ranks);
-            ops
-        };
-        for (slot, state) in colls.iter().enumerate() {
-            let kind = if state.enforced.is_some() {
-                LaneKind::Linear
-            } else if schedules[slot].intra_dim_policy() == IntraDimPolicy::SmallestChunkFirst {
-                LaneKind::Scf
-            } else {
-                LaneKind::Fifo
-            };
-            for dim in 0..num_dims {
-                lanes[dim * num_colls + slot].reset(kind, matrix.num_ranks[slot]);
-            }
-        }
-
-        let mut vacancy = VacancyTracker::from_stage_dims(
-            schedules.iter().map(|schedule| {
-                schedule
-                    .chunks()
-                    .iter()
-                    .flat_map(|chunk| chunk.stages.iter().map(|stage| stage.dim))
-            }),
-            num_dims,
-        );
-        let mut now = 0.0f64;
-        let mut outstanding = 0usize;
-        let mut admit_ptr = 0usize;
-        let mut stall_counter = 0usize;
-        let mut ready_mask = 0u64;
-        let mut busy_mask = 0u64;
-        let mut events_batched = 0u64;
-        let mut dims_quiesced = 0u64;
-
-        // Enqueues `op` of collective `coll` into its lane, maintaining the
-        // dimension's ready-coll list, count and high watermark the way the
-        // reference `DimQueue::push_ready` does. (Pushes arrive in global
-        // arrival order, so lane FIFO order is the reference tie-break.)
-        // Takes the already-indexed per-dimension slots so the borrow of each
-        // array stays local to the call site.
-        fn push_ready(
-            lane: &mut Lane,
-            ready_colls: &mut Vec<usize>,
-            ready_count: &mut usize,
-            high_water: &mut usize,
-            coll: usize,
-            op: u32,
-            rank: u32,
-        ) {
-            if lane.is_empty() {
-                ready_colls.push(coll);
-            }
-            lane.push(op, rank);
-            *ready_count += 1;
-            *high_water = (*high_water).max(*ready_count);
-        }
-
-        while admit_ptr < colls.len() || outstanding > 0 {
-            if let Some(token) = &cancel {
-                if token.should_stop(cancel_iter) {
-                    return Err(SimError::Cancelled { at_ns: now });
-                }
-                cancel_iter += 1;
-            }
-            let (blocked_dims, next_fault): (u64, Option<f64>) = match &fault_timelines {
-                Some(timelines) => match timelines.first() {
-                    Some(timeline) => (
-                        soa::blocked_mask(Some(&timeline.epochs()[epoch].blocked)),
-                        timeline.epoch_start(epoch + 1),
-                    ),
-                    None => (0, None),
-                },
-                None => (0, None),
-            };
-
-            // Event-driven admission: collectives whose issue time has
-            // arrived enter the ready lanes (their chunks' first stages).
-            while admit_ptr < colls.len() && colls[admit_ptr].issue_ns <= now {
-                let coll = admit_ptr;
-                admit_ptr += 1;
-                let state = &mut colls[coll];
-                if state.outstanding_ops == 0 {
-                    // A degenerate collective with no stages completes at
-                    // admission.
-                    state.started = true;
-                    state.start_ns = now;
-                    state.finish_ns = now;
-                    continue;
-                }
-                outstanding += state.outstanding_ops;
-                let offsets = op_costs[coll].offsets();
-                for (chunk_idx, chunk) in schedules[coll].chunks().iter().enumerate() {
-                    if chunk.stages.is_empty() {
-                        continue;
-                    }
-                    let op = matrix.coll_base[coll] as usize + offsets[chunk_idx];
-                    let dim = matrix.dim[op] as usize;
-                    push_ready(
-                        &mut lanes[dim * num_colls + coll],
-                        &mut ready_colls[dim],
-                        &mut ready_count[dim],
-                        &mut high_water[dim],
-                        coll,
-                        op as u32,
-                        matrix.rank_at(epoch, op),
-                    );
-                    ready_mask |= 1u64 << dim;
-                }
-            }
-
-            // Issue on live, unblocked dimensions only. A dimension serves
-            // the earliest admitted collective that has not vacated it, so
-            // chunks of collective k+1 only start on dimensions collective k
-            // is done with.
-            for dim in BitIter(ready_mask & !blocked_dims) {
-                while active[dim].len() < self.options.max_concurrent_ops_per_dim
-                    && ready_count[dim] > 0
-                {
-                    let Some(coll) = vacancy.owner(dim, admit_ptr) else {
-                        break;
-                    };
-                    let lane = &mut lanes[dim * num_colls + coll];
-                    if lane.is_empty() {
-                        // The owner has work left on this dimension but none
-                        // of it is ready yet: the dimension waits rather than
-                        // letting a later collective in ahead of it.
-                        break;
-                    }
-                    let op = match &colls[coll].enforced {
-                        Some(enforced_order) => {
-                            let Some(&(chunk, stage)) =
-                                enforced_order.for_dim(dim).get(colls[coll].order_ptr[dim])
-                            else {
-                                break;
-                            };
-                            let target = matrix.coll_base[coll] as usize
-                                + op_costs[coll].offsets()[chunk]
-                                + stage;
-                            match lane.take(target as u32) {
-                                Some(op) => {
-                                    colls[coll].order_ptr[dim] += 1;
-                                    op
-                                }
-                                // The collective's next enforced op is not
-                                // ready yet: the dimension waits for it
-                                // rather than running a later collective out
-                                // of turn.
-                                None => break,
-                            }
-                        }
-                        // The priority collective's lane is policy-ordered:
-                        // the pop *is* its FIFO/SCF pick.
-                        None => lane.pop().expect("lane is non-empty"),
-                    };
-                    ready_count[dim] -= 1;
-                    if lanes[dim * num_colls + coll].is_empty() {
-                        let list = &mut ready_colls[dim];
-                        let position = list
-                            .iter()
-                            .position(|&c| c == coll)
-                            .expect("drained lane is listed");
-                        list.swap_remove(position);
-                    }
-                    let opx = op as usize;
-                    let resuming_after_idle =
-                        active[dim].is_empty() && now > last_busy_end[dim] + 1e-6;
-                    let starting_cold = last_busy_end[dim] == f64::NEG_INFINITY;
-                    let work_ns = if resuming_after_idle || starting_cold {
-                        matrix.work_at(epoch, opx)
-                    } else {
-                        matrix.transfer_at(epoch, opx)
-                    };
-                    if !colls[coll].started {
-                        colls[coll].started = true;
-                        colls[coll].start_ns = now;
-                    }
-                    active[dim].push(op, work_ns, now);
-                    busy_mask |= 1u64 << dim;
-                }
-                if ready_count[dim] == 0 {
-                    ready_mask &= !(1u64 << dim);
-                }
-            }
-
-            let next_admission = colls.get(admit_ptr).map(|c| c.issue_ns);
-            if busy_mask == 0 {
-                // Nothing is executing: jump across the idle gap to the next
-                // event — an admission or a fault boundary, whichever comes
-                // first — or, with neither left, declare a stall.
-                match (next_admission, next_fault) {
-                    (Some(admission), Some(fault)) if fault <= admission => {
-                        now = fault.max(now);
-                        epoch += 1;
-                        continue;
-                    }
-                    (Some(admission), _) => {
-                        now = admission.max(now);
-                        continue;
-                    }
-                    (None, Some(fault)) => {
-                        now = fault.max(now);
-                        epoch += 1;
-                        continue;
-                    }
-                    (None, None) => {}
-                }
-                let pending: usize = ready_count.iter().take(num_dims).sum();
-                return Err(SimError::Stalled {
-                    at_ns: now,
-                    outstanding_ops: pending,
-                });
-            }
-
-            // Earliest completion under processor sharing, scanning busy
-            // dimensions only; capped by the next admission and fault events.
-            // `min(remaining) * k` is bitwise the reference's minimum over
-            // per-op `remaining * k` products: multiplying by the positive op
-            // count is monotone, so the order of min and multiply commutes.
-            let mut delta = f64::INFINITY;
-            for dim in BitIter(busy_mask) {
-                let set = &active[dim];
-                delta = delta.min(set.min_remaining() * set.len() as f64);
-            }
-            let mut advance_to_admission = false;
-            if let Some(at) = next_admission {
-                let gap = (at - now).max(0.0);
-                if gap <= delta {
-                    delta = gap;
-                    advance_to_admission = true;
-                }
-            }
-            let mut advance_to_fault = false;
-            if let Some(at) = next_fault {
-                let gap = (at - now).max(0.0);
-                if gap <= delta {
-                    if gap < delta {
-                        advance_to_admission = false;
-                    }
-                    delta = gap;
-                    advance_to_fault = true;
-                }
-            }
-            if !delta.is_finite() {
-                delta = 0.0;
-            }
-
-            if delta <= 0.0 && !advance_to_admission && !advance_to_fault {
-                stall_counter += 1;
-                if stall_counter > STALL_GUARD {
-                    return Err(SimError::Stalled {
-                        at_ns: now,
-                        outstanding_ops: outstanding,
-                    });
-                }
-            } else {
-                stall_counter = 0;
-            }
-
-            // Account the segment [now, now + delta) on live dimensions; the
-            // quiescent remainder skips all bookkeeping (and is counted).
-            if delta > 0.0 {
-                active_list.clear();
-                let live = busy_mask | ready_mask;
-                dims_quiesced += num_dims as u64 - u64::from(live.count_ones());
-                for dim in BitIter(live) {
-                    if busy_mask & (1u64 << dim) != 0 {
-                        report.dims[dim].busy_ns += delta;
-                    }
-                    push_presence(&mut report.dims[dim].presence_intervals, now, now + delta);
-                    touched.clear();
-                    for &op in active[dim].ops() {
-                        let coll = matrix.coll[op as usize] as usize;
-                        if !coll_active[coll] {
-                            coll_active[coll] = true;
-                            active_list.push(coll);
-                        }
-                        coll_busy_on_dim[coll] = true;
-                        if !coll_on_dim[coll] {
-                            coll_on_dim[coll] = true;
-                            touched.push(coll);
-                        }
-                    }
-                    for &coll in ready_colls[dim].iter() {
-                        if !coll_on_dim[coll] {
-                            coll_on_dim[coll] = true;
-                            touched.push(coll);
-                        }
-                    }
-                    for &coll in touched.iter() {
-                        let state = &mut colls[coll];
-                        if coll_busy_on_dim[coll] {
-                            state.dims[dim].busy_ns += delta;
-                        }
-                        push_presence(&mut state.dims[dim].presence_intervals, now, now + delta);
-                        coll_busy_on_dim[coll] = false;
-                        coll_on_dim[coll] = false;
-                    }
-                }
-                // Per-collective accumulators are independent, so visiting
-                // the active collectives in first-seen order adds the same
-                // `delta` to the same counters as the reference loop.
-                let active_colls = active_list.len();
-                if active_colls >= 1 {
-                    report.network_busy_ns += delta;
-                }
-                if active_colls >= 2 {
-                    report.overlap_ns += delta;
-                }
-                for &coll in active_list.iter() {
-                    colls[coll].active_ns += delta;
-                    if active_colls >= 2 {
-                        colls[coll].overlapped_ns += delta;
-                    }
-                    coll_active[coll] = false;
-                }
-            }
-
-            // Charge each dimension's `delta / k` share and collect this
-            // timestamp's completions in one sweep per busy dimension, then a
-            // deterministic sort. `(dim, op id)` is the reference's
-            // `(dim, coll, chunk)` order: collective blocks are concatenated
-            // in admission order and op ids are monotone in chunk within a
-            // block.
-            completions.clear();
-            for dim in BitIter(busy_mask) {
-                let set = &mut active[dim];
-                let share = delta / set.len() as f64;
-                if set.advance(share, dim as u32, completions) {
-                    busy_mask &= !(1u64 << dim);
-                }
-            }
-            now = if advance_to_fault {
-                epoch += 1;
-                next_fault.expect("fault boundary exists when advancing to it")
-            } else if advance_to_admission {
-                next_admission.expect("admission event exists")
-            } else {
-                now + delta
-            };
-
-            if completions.len() > 1 {
-                completions.sort_unstable_by(|a, b| a.dim.cmp(&b.dim).then(a.op.cmp(&b.op)));
-                events_batched += completions.len() as u64;
-            }
-
-            for &Completion { dim, op, start_ns } in completions.iter() {
-                let dim = dim as usize;
-                let opx = op as usize;
-                let coll = matrix.coll[opx] as usize;
-                vacancy.complete(coll, dim);
-                report.dims[dim].wire_bytes += matrix.wire[opx];
-                report.dims[dim].ops_executed += 1;
-                let state = &mut colls[coll];
-                state.dims[dim].wire_bytes += matrix.wire[opx];
-                state.dims[dim].ops_executed += 1;
-                if self.options.record_op_log {
-                    state.raw_ops.push(RawOp {
-                        dim,
-                        chunk: matrix.chunk[opx] as usize,
-                        stage: matrix.stage[opx] as usize,
-                        start_ns,
-                        end_ns: now,
-                    });
-                }
-                last_busy_end[dim] = now;
-                outstanding -= 1;
-                state.outstanding_ops -= 1;
-                if state.outstanding_ops == 0 {
-                    state.finish_ns = now;
-                }
-                // The successor is the next dense op id; its SCF rank prices
-                // against the post-boundary epoch, like the reference
-                // `push_table`.
-                if !matrix.last_stage[opx] {
-                    let succ = opx + 1;
-                    let target = matrix.dim[succ] as usize;
-                    push_ready(
-                        &mut lanes[target * num_colls + coll],
-                        &mut ready_colls[target],
-                        &mut ready_count[target],
-                        &mut high_water[target],
-                        coll,
-                        succ as u32,
-                        matrix.rank_at(epoch, succ),
-                    );
-                    ready_mask |= 1u64 << target;
-                }
-            }
-        }
-
-        // Assemble spans exactly like the reference loop: shift each
-        // collective's statistics into its own time frame.
-        let labels = self
-            .options
-            .record_op_log
-            .then(|| LabelInterner::for_dims(num_dims));
-        for (slot, state) in colls.into_iter().enumerate() {
-            let start = state.start_ns;
-            let op_log = match &labels {
-                Some(labels) => state
-                    .raw_ops
-                    .iter()
-                    .map(|raw| {
-                        let stage_op = &schedules[slot].chunks()[raw.chunk].stages[raw.stage];
-                        let mut op = labels.materialise(raw, stage_op);
-                        op.start_ns -= start;
-                        op.end_ns -= start;
-                        op
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            let mut sim_report = SimReport {
-                scheduler_name: schedules[slot].scheduler_name().to_string(),
-                topology_name: self.topo.name().to_string(),
-                total_time_ns: (state.finish_ns - start).max(0.0),
-                activity_window_ns: self.options.activity_window_ns,
-                dims: state.dims,
-                op_log,
-            };
-            for dim in &mut sim_report.dims {
-                for interval in &mut dim.presence_intervals {
-                    interval.0 -= start;
-                    interval.1 -= start;
-                }
-            }
-            report.finish_ns = report.finish_ns.max(state.finish_ns);
-            report.spans.push(CollectiveSpan {
-                index: state.entry_index,
-                label: entries[state.entry_index].label.clone(),
-                issue_ns: state.issue_ns,
-                start_ns: state.start_ns,
-                finish_ns: state.finish_ns,
-                active_ns: state.active_ns,
-                overlapped_ns: state.overlapped_ns,
-                report: sim_report,
-            });
-        }
-        if let Some(started) = loop_started {
-            depth_scratch.clear();
-            depth_scratch.extend(high_water.iter().take(num_dims));
-            telemetry.flush_run(
-                &report.dims,
-                report.finish_ns,
-                depth_scratch,
-                true,
-                started.elapsed(),
-                LoopCounters {
-                    events_batched,
-                    dims_quiesced,
-                },
-            );
-        }
-        Ok(report)
+        *ready_mask |= 1u64 << dim;
     }
 }
 
 /// The cost table pricing collective `coll`'s ops in fault epoch `epoch`:
 /// the compiled epoch table when one exists, otherwise the collective's base
 /// table (epochs whose bandwidth multipliers are all 1 carry no table).
-fn epoch_table<'t>(
-    timelines: &'t Option<Vec<FaultTimeline>>,
-    base: &'t [Arc<CostTable>],
+fn epoch_table<'t, T: Borrow<CostTable>>(
+    timelines: Option<&'t [FaultTimeline]>,
+    base: &'t [T],
     epoch: usize,
     coll: usize,
 ) -> &'t CostTable {
@@ -1514,9 +1581,194 @@ fn epoch_table<'t>(
         Some(timelines) => timelines[coll].epochs()[epoch]
             .table
             .as_deref()
-            .unwrap_or(&base[coll]),
-        None => &base[coll],
+            .unwrap_or(base[coll].borrow()),
+        None => base[coll].borrow(),
     }
+}
+
+/// The event an idle network jumps to: the earlier of the next admission and
+/// the next fault boundary (a tie goes to the fault), flagged `true` for a
+/// fault.
+fn next_event(admission: Option<f64>, fault: Option<f64>) -> Option<(f64, bool)> {
+    match (admission, fault) {
+        (Some(admission), Some(fault)) if fault <= admission => Some((fault, true)),
+        (Some(admission), _) => Some((admission, false)),
+        (None, fault) => fault.map(|fault| (fault, true)),
+    }
+}
+
+/// Caps a step of `delta` (the earliest completion) at the next admission
+/// and the next fault boundary, so in-flight ops never straddle an epoch
+/// switch unobserved. Returns the step and whether it lands on the admission
+/// and on the boundary; on a strict fault win the admission flag clears (the
+/// admission still happens next iteration, once `now` has crossed its issue
+/// time).
+#[inline(always)]
+fn cap_step(
+    mut delta: f64,
+    now: f64,
+    next_admission: Option<f64>,
+    next_fault: Option<f64>,
+) -> (f64, bool, bool) {
+    let mut to_admission = false;
+    if let Some(at) = next_admission {
+        let gap = (at - now).max(0.0);
+        if gap <= delta {
+            delta = gap;
+            to_admission = true;
+        }
+    }
+    let mut to_fault = false;
+    if let Some(at) = next_fault {
+        let gap = (at - now).max(0.0);
+        if gap <= delta {
+            if gap < delta {
+                to_admission = false;
+            }
+            delta = gap;
+            to_fault = true;
+        }
+    }
+    if !delta.is_finite() {
+        delta = 0.0;
+    }
+    (delta, to_admission, to_fault)
+}
+
+/// Counts consecutive iterations without progress; past [`STALL_GUARD`] of
+/// them the simulation is declared stalled.
+#[inline(always)]
+fn guard_progress(
+    stall_counter: &mut usize,
+    progress: bool,
+    now: f64,
+    outstanding: usize,
+) -> Result<(), SimError> {
+    if progress {
+        *stall_counter = 0;
+        return Ok(());
+    }
+    *stall_counter += 1;
+    if *stall_counter > STALL_GUARD {
+        return Err(SimError::Stalled {
+            at_ns: now,
+            outstanding_ops: outstanding,
+        });
+    }
+    Ok(())
+}
+
+/// The per-collective segment accounting of a merged run, with its scratch
+/// reused across cells through the workspace. Flags reset through `touched`
+/// and `in_flight`, so a segment costs O(ops and collectives in flight), not
+/// O(dims × collectives).
+#[derive(Debug, Default)]
+pub(crate) struct CollAccounts {
+    /// Collective has an op in flight somewhere in the current segment.
+    active: Vec<bool>,
+    /// Collective has an op in flight on the dimension being charged.
+    busy_on_dim: Vec<bool>,
+    /// Collective has an op in flight or ready on that dimension.
+    on_dim: Vec<bool>,
+    touched: Vec<usize>,
+    /// The collectives in flight in the current segment, first-seen order.
+    in_flight: Vec<usize>,
+}
+
+impl CollAccounts {
+    pub(crate) fn reset(&mut self, num_colls: usize) {
+        for flags in [&mut self.active, &mut self.busy_on_dim, &mut self.on_dim] {
+            flags.clear();
+            flags.resize(num_colls, false);
+        }
+        self.touched.clear();
+        self.in_flight.clear();
+    }
+
+    /// Charges the segment `[now, now + delta)` on `dim` to every collective
+    /// present there: busy time if one of its ops is in flight (`in_flight`
+    /// lists the in-flight ops' collectives, repeats allowed), presence if
+    /// in flight or `ready`.
+    #[inline(always)]
+    fn charge_dim(
+        &mut self,
+        colls: &mut [CollState],
+        dim: usize,
+        in_flight: impl Iterator<Item = usize>,
+        ready: &[usize],
+        now: f64,
+        delta: f64,
+    ) {
+        self.touched.clear();
+        for coll in in_flight {
+            if !self.active[coll] {
+                self.active[coll] = true;
+                self.in_flight.push(coll);
+            }
+            self.busy_on_dim[coll] = true;
+            if !self.on_dim[coll] {
+                self.on_dim[coll] = true;
+                self.touched.push(coll);
+            }
+        }
+        for &coll in ready {
+            if !self.on_dim[coll] {
+                self.on_dim[coll] = true;
+                self.touched.push(coll);
+            }
+        }
+        for &coll in &self.touched {
+            let state = &mut colls[coll];
+            if self.busy_on_dim[coll] {
+                state.dims[dim].busy_ns += delta;
+            }
+            push_presence(&mut state.dims[dim].presence_intervals, now, now + delta);
+            self.busy_on_dim[coll] = false;
+            self.on_dim[coll] = false;
+        }
+    }
+
+    /// Closes a segment charged dimension by dimension: network busy and
+    /// overlap time, and each in-flight collective's active and overlapped
+    /// time. The accumulators are independent, so visiting collectives in
+    /// first-seen order adds the same `delta` to the same counters as index
+    /// order would.
+    #[inline(always)]
+    fn close_segment(
+        &mut self,
+        colls: &mut [CollState],
+        delta: f64,
+        network_busy_ns: &mut f64,
+        overlap_ns: &mut f64,
+    ) {
+        let in_flight = self.in_flight.len();
+        if in_flight >= 1 {
+            *network_busy_ns += delta;
+        }
+        if in_flight >= 2 {
+            *overlap_ns += delta;
+        }
+        for &coll in &self.in_flight {
+            colls[coll].active_ns += delta;
+            if in_flight >= 2 {
+                colls[coll].overlapped_ns += delta;
+            }
+            self.active[coll] = false;
+        }
+        self.in_flight.clear();
+    }
+}
+
+/// Appends `[start, end)` to `intervals`, merging with the previous interval
+/// when contiguous.
+fn push_presence(intervals: &mut Vec<(f64, f64)>, start: f64, end: f64) {
+    if let Some(last) = intervals.last_mut() {
+        if (last.1 - start).abs() < 1e-6 {
+            last.1 = end;
+            return;
+        }
+    }
+    intervals.push((start, end));
 }
 
 /// Admission order of the entries: by clamped issue time, ties broken by list
@@ -1533,20 +1785,10 @@ fn admission_order(entries: &[StreamEntry]) -> Vec<usize> {
     order
 }
 
-/// Fresh per-dimension reports carrying the topology's bandwidths.
-fn dims_template(topo: &NetworkTopology) -> Vec<DimReport> {
-    topo.dims()
-        .iter()
-        .map(|d| DimReport {
-            bandwidth_bytes_per_ns: d.aggregate_bandwidth().as_bytes_per_ns(),
-            ..DimReport::default()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PipelineSimulator;
     use themis_core::{CollectiveRequest, ThemisScheduler};
     use themis_net::presets::PresetTopology;
 

@@ -21,12 +21,14 @@
 //!   per-dimension statistics.
 //!
 //! Setting [`crate::SimOptions::cross_collective_overlap`] to `false` selects
-//! the strict back-to-back execution of the sequential timeline model
-//! (implemented as isolated per-collective pipeline runs laid end to end,
-//! distinct from the overlap policy's merged event loop);
+//! the strict back-to-back execution of the sequential timeline model: each
+//! collective runs alone through the loop's single-collective instantiation,
+//! in its own single-run frame, and the runs are laid end to end (the overlap
+//! policy runs the merged instantiation instead);
 //! [`crate::timeline::TimelineSimulator`] is a thin wrapper around that
 //! policy, making the stream engine the single entry point for collective
-//! queues.
+//! queues. [`crate::PipelineSimulator`] runs the same single-collective
+//! instantiation, so one event loop executes every simulation.
 //!
 //! ```
 //! use themis_core::ThemisScheduler;

@@ -1,7 +1,7 @@
 //! Queue state of the stream engine: the queued-collective description and
 //! the per-dimension in-flight chunk tracking used during execution.
 
-use crate::readyq::{ReadyKey, ReadyQueue};
+use crate::readyq::ReadyQueue;
 use themis_core::{CollectiveRequest, IntraDimPolicy};
 
 /// One collective in a stream: issued at `issue_ns` (negative or NaN issue
@@ -55,15 +55,6 @@ pub(crate) struct PendingOp {
     pub cost_ns: f64,
 }
 
-impl ReadyKey for PendingOp {
-    fn arrival(&self) -> u64 {
-        self.arrival
-    }
-    fn cost_ns(&self) -> f64 {
-        self.cost_ns
-    }
-}
-
 /// A chunk operation currently executing on a dimension.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ActiveOp {
@@ -90,7 +81,7 @@ pub(crate) struct ActiveOp {
 pub(crate) struct DimQueue {
     /// `ready[coll]` holds the queued ops of collective `coll` on this
     /// dimension, in the collective's pop order.
-    ready: Vec<ReadyQueue<PendingOp>>,
+    ready: Vec<ReadyQueue>,
     /// The collectives whose bucket is currently non-empty (unsorted); lets
     /// the per-segment accounting skip the (mostly empty) buckets.
     ready_colls: Vec<usize>,
@@ -227,7 +218,7 @@ impl DimQueue {
 /// therefore never delayed by their queue successors — streaming strictly
 /// fills bandwidth the sequential policy would leave idle, so a stream never
 /// finishes later than its back-to-back execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct VacancyTracker {
     /// `remaining[coll][dim]`: uncompleted ops of `coll` on `dim`.
     remaining: Vec<Vec<usize>>,

@@ -13,9 +13,10 @@
 //! [`crate::SimOptions::cross_collective_overlap`] forced off (the
 //! back-to-back policy) and reshapes the [`StreamReport`] into the historical
 //! [`TimelineReport`] layout. The stream engine is the single entry point for
-//! collective queues; note that internally it implements the two policies
-//! differently (a merged event loop when overlapping, isolated per-collective
-//! pipeline runs laid end to end when sequential).
+//! collective queues. Both policies run the same event loop: the merged
+//! instantiation when overlapping; when sequential, the single-collective
+//! instantiation once per collective, each in its own single-run frame, laid
+//! end to end.
 
 use crate::error::SimError;
 use crate::options::SimOptions;

@@ -1,24 +1,22 @@
 //! Reusable per-worker simulation scratch.
 //!
-//! The simulation engines' inner loops are allocation-free per *step*; a
-//! [`SimWorkspace`] makes their setup allocation-free per *cell* too. A
-//! campaign worker creates one workspace and threads it through every cell it
-//! executes: ready queues, active-op lists, completion scratch and the raw
-//! op-log buffer keep their allocations between runs and are merely
-//! re-initialised. Reuse never changes results — every buffer is reset to the
-//! exact state a fresh allocation would have — so reports stay bit-identical
-//! to workspace-free runs (asserted by the integration suites).
+//! The event loops are allocation-free per *step*; a [`SimWorkspace`] makes
+//! their setup allocation-free per *cell* too. A campaign worker creates one
+//! workspace and threads it through every cell it executes: ready lanes,
+//! in-flight sets, completion scratch and the raw op-log buffer keep their
+//! allocations between runs and are merely re-initialised. Reuse never
+//! changes results — every buffer is reset to the exact state a fresh
+//! allocation would have — so reports are bit-identical to workspace-free
+//! runs (asserted by the integration suites).
 
-use crate::pipeline::{ActiveOp, PendingOp};
-use crate::readyq::ReadyQueue;
 use crate::soa;
 use crate::stats::{DimReport, RawOp};
+use crate::stream::engine as stream_engine;
 use crate::stream::queue as stream_queue;
 use std::time::Duration;
 use themis_core::telemetry::{self, Counter, Gauge, Histogram, Registry};
-use themis_core::IntraDimPolicy;
 
-/// Pre-registered instrument handles of one workspace: the engines flush
+/// Pre-registered instrument handles of one workspace: the loops flush
 /// per-run statistics through these without any name lookup on the run path.
 #[derive(Debug)]
 pub(crate) struct SimTelemetry {
@@ -41,10 +39,10 @@ struct DimInstruments {
     max_queue_depth: Gauge,
 }
 
-/// Per-run tallies the fast engines accumulate in locals and flush once:
+/// Per-run tallies the fast loop accumulates in locals and flushes once:
 /// completions retired in same-timestamp batches of two or more
 /// (`sim.events.batched`) and dimension-segments skipped outright by the
-/// quiescence short-cut (`sim.dims.quiesced`). The reference engines flush
+/// quiescence short-cut (`sim.dims.quiesced`). The reference loop flushes
 /// [`LoopCounters::default`] — both zero.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct LoopCounters {
@@ -108,11 +106,13 @@ impl SimTelemetry {
 
     /// Flushes one finished run: the event-loop wall time into the matching
     /// span histogram, per-dimension busy/idle/op counters plus the
-    /// ready-queue high watermark, and the fast engines' batching /
+    /// ready-queue high watermark, and the fast loop's batching /
     /// quiescence tallies (`sim.events.batched` counts completions that
     /// drained in a same-timestamp batch of two or more; `sim.dims.quiesced`
-    /// counts dimension-segments the masked loops skipped outright — the
-    /// reference engines flush zeros for both). Called once per run, after
+    /// counts dimension-segments the masked loop skipped outright — the
+    /// reference loop flushes zeros for both). Single-collective runs record
+    /// into `sim.pipeline.event_loop_ns`, merged stream runs into
+    /// `sim.stream.event_loop_ns`. Called once per run, after
     /// the loop — the hot path itself never touches an atomic.
     pub(crate) fn flush_run(
         &self,
@@ -152,7 +152,7 @@ impl SimTelemetry {
     }
 }
 
-/// Reusable scratch buffers for both simulation engines.
+/// Reusable scratch buffers for the simulation event loops.
 ///
 /// Create one per worker thread (the buffers are not shared) and pass it to
 /// [`crate::PipelineSimulator::run_prepared`] /
@@ -160,49 +160,41 @@ impl SimTelemetry {
 /// buffers grow to the largest cell executed and stay allocated.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
-    // --- chunk-pipeline engine ---
-    pub(crate) pipe_ready: Vec<ReadyQueue<PendingOp>>,
-    pub(crate) pipe_active: Vec<Vec<ActiveOp>>,
-    pub(crate) pipe_last_busy_end: Vec<f64>,
-    pub(crate) pipe_order_ptr: Vec<usize>,
-    pub(crate) pipe_completions: Vec<(usize, ActiveOp)>,
-    pub(crate) raw_ops: Vec<RawOp>,
-    // --- stream engine ---
-    pub(crate) stream_dims: Vec<stream_queue::DimQueue>,
-    pub(crate) stream_completions: Vec<(usize, stream_queue::ActiveOp)>,
-    pub(crate) coll_active: Vec<bool>,
-    pub(crate) coll_busy_on_dim: Vec<bool>,
-    pub(crate) coll_on_dim: Vec<bool>,
-    pub(crate) touched: Vec<usize>,
-    pub(crate) active_list: Vec<usize>,
-    // --- data-oriented fast engines ---
+    // --- the data-oriented loop ---
     /// The flat per-op attribute arrays of the current run.
     pub(crate) ops: soa::OpMatrix,
     /// Memoised op matrices of plan-served cells (see [`soa::MatrixMemo`]).
     pub(crate) matrix_memo: soa::MatrixMemo,
-    /// Ready lanes: one per dimension (pipeline) or one per
-    /// dimension × collective (stream), dimension-major.
-    pub(crate) fast_lanes: Vec<soa::Lane>,
+    /// Ready lanes, one per dimension × collective, dimension-major.
+    pub(crate) lanes: Vec<soa::Lane>,
     /// In-flight ops per dimension, structure-of-arrays with a cached
     /// `min(remaining)` per dimension.
-    pub(crate) fast_active: Vec<soa::ActiveSet>,
+    pub(crate) active: Vec<soa::ActiveSet>,
     /// Same-timestamp completion batch scratch.
-    pub(crate) fast_completions: Vec<soa::Completion>,
-    /// Stream fast loop: per-dimension list of collectives with ready ops.
-    pub(crate) fast_ready_colls: Vec<Vec<usize>>,
-    /// Stream fast loop: per-dimension total ready-op count.
-    pub(crate) fast_ready_count: Vec<usize>,
-    /// Stream fast loop: per-dimension ready-depth high watermark.
-    pub(crate) fast_high_water: Vec<usize>,
+    pub(crate) completions: Vec<soa::Completion>,
+    /// Merged stream runs: per-dimension ready collectives and counts.
+    pub(crate) ready: soa::ReadyIndex,
+    /// Time each dimension last finished executing an op.
+    pub(crate) last_busy_end: Vec<f64>,
+    /// Single-collective runs: the executed ops, for the op log.
+    pub(crate) raw_ops: Vec<RawOp>,
+    // --- shared by both loops ---
+    /// Enforced-order cursor per collective × dimension, collective-major.
+    pub(crate) order_ptr: Vec<usize>,
+    /// Merged runs: per-collective segment accounting scratch.
+    pub(crate) accounts: stream_engine::CollAccounts,
+    // --- the reference loop ---
+    pub(crate) queues: Vec<stream_queue::DimQueue>,
+    pub(crate) queue_completions: Vec<(usize, stream_queue::ActiveOp)>,
     // --- telemetry ---
     pub(crate) telemetry: SimTelemetry,
     /// Per-dimension ready-queue high watermark of the current run.
     pub(crate) depth_scratch: Vec<usize>,
     // --- cancellation ---
     /// The cooperative cancellation token of the current request, if any.
-    /// Both engines poll it at event-loop iteration boundaries; without a
-    /// token the checks reduce to one `Option` test per iteration and results
-    /// are bit-identical to a token-free run.
+    /// Both loops poll it at iteration boundaries; without a token the
+    /// checks reduce to one `Option` test per iteration and results are
+    /// bit-identical to a token-free run.
     pub(crate) cancel: Option<crate::cancel::CancelToken>,
 }
 
@@ -265,101 +257,42 @@ impl SimWorkspace {
         self.telemetry.phase_cost.span()
     }
 
-    /// Re-initialises the chunk-pipeline buffers for a run over `num_dims`
-    /// dimensions under `(policy, enforced)`, reusing allocations.
-    pub(crate) fn prepare_pipeline(
-        &mut self,
-        num_dims: usize,
-        policy: IntraDimPolicy,
-        enforced: bool,
-    ) {
-        self.pipe_ready.truncate(num_dims);
-        for queue in &mut self.pipe_ready {
-            queue.reshape(policy, enforced);
-        }
-        while self.pipe_ready.len() < num_dims {
-            self.pipe_ready
-                .push(ReadyQueue::for_policy(policy, enforced));
-        }
-        for active in &mut self.pipe_active {
-            active.clear();
-        }
-        self.pipe_active.resize_with(num_dims, Vec::new);
-        self.pipe_last_busy_end.clear();
-        self.pipe_last_busy_end.resize(num_dims, f64::NEG_INFINITY);
-        self.pipe_order_ptr.clear();
-        self.pipe_order_ptr.resize(num_dims, 0);
-        self.pipe_completions.clear();
-        self.raw_ops.clear();
-        self.depth_scratch.clear();
-        self.depth_scratch.resize(num_dims, 0);
-    }
-
-    /// Re-initialises the data-oriented pipeline buffers for a run over
-    /// `num_dims` dimensions, reusing allocations. The lanes themselves are
-    /// reset by the engine, which knows the lane kind and rank-space size
-    /// only after building the op matrix.
-    pub(crate) fn prepare_fast_pipeline(&mut self, num_dims: usize) {
-        if self.fast_lanes.len() < num_dims {
-            self.fast_lanes.resize_with(num_dims, soa::Lane::default);
-        }
-        for active in &mut self.fast_active {
-            active.clear();
-        }
-        self.fast_active
-            .resize_with(num_dims, soa::ActiveSet::default);
-        self.pipe_last_busy_end.clear();
-        self.pipe_last_busy_end.resize(num_dims, f64::NEG_INFINITY);
-        self.pipe_order_ptr.clear();
-        self.pipe_order_ptr.resize(num_dims, 0);
-        self.fast_completions.clear();
-        self.raw_ops.clear();
-        self.depth_scratch.clear();
-        self.depth_scratch.resize(num_dims, 0);
-    }
-
-    /// Re-initialises the data-oriented stream buffers for a run over
-    /// `num_dims` dimensions and `num_colls` collectives (lanes are
-    /// dimension-major: `dim * num_colls + coll`). Also prepares the shared
-    /// per-collective flag buffers.
-    pub(crate) fn prepare_fast_stream(&mut self, num_dims: usize, num_colls: usize) {
-        self.prepare_stream(num_colls);
+    /// Re-initialises the data-oriented loop's buffers for a run over
+    /// `num_dims` dimensions and `num_colls` collectives, reusing
+    /// allocations; `multi` also prepares the merged run's per-collective
+    /// scratch. The lanes themselves are reset by the loop, which knows each
+    /// lane's kind and rank-space size only after building the op matrix.
+    pub(crate) fn prepare_fast(&mut self, num_dims: usize, num_colls: usize, multi: bool) {
         let lanes = num_dims * num_colls;
-        if self.fast_lanes.len() < lanes {
-            self.fast_lanes.resize_with(lanes, soa::Lane::default);
+        if self.lanes.len() < lanes {
+            self.lanes.resize_with(lanes, soa::Lane::default);
         }
-        for active in &mut self.fast_active {
+        for active in &mut self.active {
             active.clear();
         }
-        self.fast_active
-            .resize_with(num_dims, soa::ActiveSet::default);
-        self.pipe_last_busy_end.clear();
-        self.pipe_last_busy_end.resize(num_dims, f64::NEG_INFINITY);
-        for colls in &mut self.fast_ready_colls {
-            colls.clear();
+        self.active.resize_with(num_dims, soa::ActiveSet::default);
+        self.last_busy_end.clear();
+        self.last_busy_end.resize(num_dims, f64::NEG_INFINITY);
+        self.completions.clear();
+        self.raw_ops.clear();
+        self.reset_order_ptr(num_dims, num_colls);
+        if multi {
+            self.ready.reset(num_dims);
+            self.accounts.reset(num_colls);
         }
-        self.fast_ready_colls.resize_with(num_dims, Vec::new);
-        self.fast_ready_count.clear();
-        self.fast_ready_count.resize(num_dims, 0);
-        self.fast_high_water.clear();
-        self.fast_high_water.resize(num_dims, 0);
-        self.fast_completions.clear();
-        self.depth_scratch.clear();
-        self.depth_scratch.resize(num_dims, 0);
     }
 
-    /// Re-initialises the stream-engine per-collective flag buffers for a run
-    /// over `num_colls` collectives (the per-dimension queues are reset by the
-    /// engine, which knows each collective's bucket layout).
-    pub(crate) fn prepare_stream(&mut self, num_colls: usize) {
-        self.coll_active.clear();
-        self.coll_active.resize(num_colls, false);
-        self.coll_busy_on_dim.clear();
-        self.coll_busy_on_dim.resize(num_colls, false);
-        self.coll_on_dim.clear();
-        self.coll_on_dim.resize(num_colls, false);
-        self.touched.clear();
-        self.active_list.clear();
-        self.stream_completions.clear();
+    /// Re-initialises the reference loop's per-collective buffers (the
+    /// per-dimension queues are reset by the loop, which knows each
+    /// collective's bucket layout).
+    pub(crate) fn prepare_reference(&mut self, num_dims: usize, num_colls: usize) {
+        self.queue_completions.clear();
+        self.reset_order_ptr(num_dims, num_colls);
+        self.accounts.reset(num_colls);
+    }
+
+    fn reset_order_ptr(&mut self, num_dims: usize, num_colls: usize) {
+        self.order_ptr.clear();
+        self.order_ptr.resize(num_dims * num_colls, 0);
     }
 }

@@ -13,8 +13,8 @@ use themis_collectives::CollectiveKind;
 use themis_core::{BaselineScheduler, CollectiveRequest, CollectiveScheduler, ThemisScheduler};
 use themis_net::{DataSize, DimensionSpec, NetworkTopology, TopologyKind};
 use themis_sim::{
-    FaultPlan, PipelineSimulator, SimError, SimOptions, SimReport, StreamEntry, StreamReport,
-    StreamSimulator,
+    DimReport, FaultPlan, PipelineSimulator, SimError, SimOptions, SimReport, StreamEntry,
+    StreamReport, StreamSimulator,
 };
 
 /// Deterministic 64-bit LCG (Knuth's MMIX constants): the whole fuzz corpus
@@ -226,32 +226,53 @@ fn run_pipeline_cell(
     true
 }
 
-fn run_stream_cell(cell: &str, topo: &NetworkTopology, options: &SimOptions, rng: &mut Lcg) {
-    let num_colls = 1 + rng.below(5);
-    let entries: Vec<StreamEntry> = (0..num_colls)
-        .map(|i| {
-            let issue_ns = if rng.chance(40) {
-                0.0
-            } else {
-                rng.range_f64(0.0, 3e6)
-            };
-            StreamEntry::new(format!("coll-{i}"), issue_ns, random_request(rng))
-        })
-        .collect();
-    let chunks = [1, 2, 4, 8][rng.below(4)];
-    let themis = rng.chance(50);
-    let overlap = rng.chance(80);
-    let make_scheduler = |use_themis: bool| -> Box<dyn CollectiveScheduler> {
-        if use_themis {
-            Box::new(ThemisScheduler::new(chunks))
-        } else {
-            Box::new(BaselineScheduler::new(chunks))
+/// One drawn stream cell: the queued entries, the scheduler to build for
+/// every run, and the options with the drawn overlap policy applied.
+struct StreamCell {
+    entries: Vec<StreamEntry>,
+    chunks: usize,
+    themis: bool,
+    options: SimOptions,
+}
+
+impl StreamCell {
+    fn draw(options: &SimOptions, rng: &mut Lcg) -> Self {
+        let num_colls = 1 + rng.below(5);
+        let entries: Vec<StreamEntry> = (0..num_colls)
+            .map(|i| {
+                let issue_ns = if rng.chance(40) {
+                    0.0
+                } else {
+                    rng.range_f64(0.0, 3e6)
+                };
+                StreamEntry::new(format!("coll-{i}"), issue_ns, random_request(rng))
+            })
+            .collect();
+        let chunks = [1, 2, 4, 8][rng.below(4)];
+        let themis = rng.chance(50);
+        let overlap = rng.chance(80);
+        StreamCell {
+            entries,
+            chunks,
+            themis,
+            options: options.clone().with_cross_collective_overlap(overlap),
         }
-    };
-    let base = options.clone().with_cross_collective_overlap(overlap);
-    let fast = StreamSimulator::new(topo, base.clone()).run(&mut *make_scheduler(themis), &entries);
-    let reference = StreamSimulator::new(topo, base.with_reference_engine(true))
-        .run(&mut *make_scheduler(themis), &entries);
+    }
+
+    fn run(&self, topo: &NetworkTopology, options: SimOptions) -> Result<StreamReport, SimError> {
+        let mut scheduler: Box<dyn CollectiveScheduler> = if self.themis {
+            Box::new(ThemisScheduler::new(self.chunks))
+        } else {
+            Box::new(BaselineScheduler::new(self.chunks))
+        };
+        StreamSimulator::new(topo, options).run(&mut *scheduler, &self.entries)
+    }
+}
+
+fn run_stream_cell(cell: &str, topo: &NetworkTopology, options: &SimOptions, rng: &mut Lcg) {
+    let drawn = StreamCell::draw(options, rng);
+    let fast = drawn.run(topo, drawn.options.clone());
+    let reference = drawn.run(topo, drawn.options.clone().with_reference_engine(true));
     assert_same_stream(cell, fast, reference);
 }
 
@@ -337,4 +358,164 @@ fn faulted_stream_cells_are_bit_identical_across_engines() {
             &mut rng,
         );
     }
+}
+
+/// FNV-1a over every bit of a report — each float by `to_bits`, each count,
+/// each string, the op logs — so a digest pins reports exactly, across
+/// commits.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn count(&mut self, value: usize) {
+        self.bytes(&(value as u64).to_le_bytes());
+    }
+
+    fn float(&mut self, value: f64) {
+        self.bytes(&value.to_bits().to_le_bytes());
+    }
+
+    fn text(&mut self, text: &str) {
+        self.count(text.len());
+        self.bytes(text.as_bytes());
+    }
+
+    fn dims(&mut self, dims: &[DimReport]) {
+        self.count(dims.len());
+        for dim in dims {
+            self.float(dim.bandwidth_bytes_per_ns);
+            self.float(dim.busy_ns);
+            self.float(dim.wire_bytes);
+            self.count(dim.ops_executed);
+            self.count(dim.presence_intervals.len());
+            for &(start, end) in &dim.presence_intervals {
+                self.float(start);
+                self.float(end);
+            }
+        }
+    }
+
+    fn sim(&mut self, report: &SimReport) {
+        self.text(&report.scheduler_name);
+        self.text(&report.topology_name);
+        self.float(report.total_time_ns);
+        self.float(report.activity_window_ns);
+        self.dims(&report.dims);
+        self.count(report.op_log.len());
+        for op in &report.op_log {
+            self.count(op.dim);
+            self.count(op.chunk);
+            self.count(op.stage);
+            self.text(&op.label);
+            self.float(op.start_ns);
+            self.float(op.end_ns);
+        }
+    }
+
+    fn stream(&mut self, report: &StreamReport) {
+        self.text(&report.scheduler_name);
+        self.text(&report.topology_name);
+        self.float(report.finish_ns);
+        self.float(report.network_busy_ns);
+        self.float(report.overlap_ns);
+        self.dims(&report.dims);
+        self.count(report.spans.len());
+        for span in &report.spans {
+            self.count(span.index);
+            self.text(&span.label);
+            self.float(span.issue_ns);
+            self.float(span.start_ns);
+            self.float(span.finish_ns);
+            self.float(span.active_ns);
+            self.float(span.overlapped_ns);
+            self.sim(&span.report);
+        }
+    }
+
+    fn outcome<T>(&mut self, outcome: &Result<T, SimError>, hash: impl FnOnce(&mut Self, &T)) {
+        match outcome {
+            Ok(report) => {
+                self.count(1);
+                hash(self, report);
+            }
+            Err(err) => {
+                self.count(0);
+                self.text(&format!("{err:?}"));
+            }
+        }
+    }
+}
+
+/// The digest of the four fixed-seed corpora above (at the base budget),
+/// recorded before the single-collective pipeline loops were folded into
+/// the stream engine's loop. A change that moves any bit of any report —
+/// not just one that splits the fast and reference loops apart — fails here.
+const CORPORA_DIGEST: u64 = 0xdfe6_3d82_e14e_31da;
+
+#[test]
+fn fixed_seed_corpora_match_the_recorded_digest() {
+    let mut digest = Digest::new();
+
+    let mut rng = Lcg::new(0x7E_15);
+    for _ in 0..70 {
+        let topo = random_topology(&mut rng);
+        let options = random_options(&mut rng);
+        let request = random_request(&mut rng);
+        let mut scheduler = random_scheduler(&mut rng);
+        let Ok(schedule) = scheduler.schedule(&request, &topo) else {
+            continue;
+        };
+        let report = PipelineSimulator::new(&topo, options).run(&schedule);
+        digest.outcome(&report, Digest::sim);
+    }
+
+    let mut rng = Lcg::new(0xFA_17);
+    for _ in 0..50 {
+        let topo = random_topology(&mut rng);
+        let options = random_options(&mut rng);
+        let request = random_request(&mut rng);
+        let mut scheduler = random_scheduler(&mut rng);
+        let Ok(schedule) = scheduler.schedule(&request, &topo) else {
+            continue;
+        };
+        let Ok(healthy) = PipelineSimulator::new(&topo, options.clone()).run(&schedule) else {
+            continue;
+        };
+        let faults = random_fault_plan(&mut rng, topo.num_dims(), healthy.total_time_ns.max(1.0));
+        let report = PipelineSimulator::new(&topo, options.with_faults(faults)).run(&schedule);
+        digest.outcome(&report, Digest::sim);
+    }
+
+    let mut rng = Lcg::new(0x57_2E);
+    for _ in 0..50 {
+        let topo = random_topology(&mut rng);
+        let options = random_options(&mut rng);
+        let cell = StreamCell::draw(&options, &mut rng);
+        digest.outcome(&cell.run(&topo, cell.options.clone()), Digest::stream);
+    }
+
+    let mut rng = Lcg::new(0xFA_57);
+    for _ in 0..40 {
+        let topo = random_topology(&mut rng);
+        let options =
+            random_options(&mut rng).with_faults(random_fault_plan(&mut rng, topo.num_dims(), 4e6));
+        let cell = StreamCell::draw(&options, &mut rng);
+        digest.outcome(&cell.run(&topo, cell.options.clone()), Digest::stream);
+    }
+
+    assert_eq!(
+        digest.0, CORPORA_DIGEST,
+        "the fixed-seed corpora no longer reproduce the recorded reports: digest {:#018x}",
+        digest.0
+    );
 }

@@ -12,7 +12,6 @@ use crate::error::WorkloadError;
 /// Broad category of a layer, used by the parallelization strategies to decide
 /// how the layer's parameters are partitioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LayerKind {
     /// Convolutional layer (data-parallel in all evaluated workloads).
     Convolution,
@@ -29,7 +28,6 @@ pub enum LayerKind {
 
 /// One layer (or group of similar layers) of a DNN.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layer {
     name: String,
     kind: LayerKind,

@@ -4,7 +4,6 @@ use std::fmt;
 
 /// How a workload is partitioned across the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ParallelismStrategy {
     /// Pure data parallelism: every NPU holds the full model and processes its
     /// own mini-batch shard; weight gradients are All-Reduced across the whole

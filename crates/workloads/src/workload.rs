@@ -7,7 +7,6 @@ use std::fmt;
 
 /// One of the paper's evaluation workloads (Sec. 5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Workload {
     /// ResNet-152, data-parallel, per-NPU mini-batch 32.
     ResNet152,
