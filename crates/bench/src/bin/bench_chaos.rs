@@ -1,4 +1,4 @@
-//! Chaos gate: six deterministic failure-injection scenarios against the
+//! Chaos gate: eight deterministic failure-injection scenarios against the
 //! production-hardened service stack, each required to end in a **structured
 //! response or a clean recovery** — never a crash, hang, or silent
 //! corruption — with recovered results bit-identical to the healthy run.
@@ -23,6 +23,11 @@
 //!    behind, which is then corrupted; the resumed sweep must quarantine the
 //!    torn partial, re-run that shard, and merge bit-identically to the
 //!    healthy unsharded run.
+//! 7. **deep-nesting** — a ~2 MB line nested 1,000,000 levels deep must get
+//!    a structured error naming the nesting limit instead of overflowing the
+//!    parser's stack, and the `ping` on the next line must be answered.
+//! 8. **huge-string** — a 15 MiB string-heavy line (just under the 16 MiB
+//!    line cap) must be answered within 1 s: string parsing is linear.
 //!
 //! Usage:
 //!
@@ -465,6 +470,80 @@ fn killed_resume(scratch: &Scratch, worker: &Path) -> Verdict {
     }
 }
 
+// --- Scenarios 7 and 8: hostile line shapes ---------------------------------
+
+/// Feeds `lines` to a fresh service's serve loop over an in-memory pipe and
+/// returns every response, parsed, plus the wall time the loop took.
+fn serve_lines(lines: &[String]) -> (Vec<Json>, Duration) {
+    let service = Service::default();
+    let input = lines
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect::<String>();
+    let mut out: Vec<u8> = Vec::new();
+    let started = Instant::now();
+    service
+        .serve(std::io::Cursor::new(input.into_bytes()), &mut out)
+        .unwrap_or_else(|err| die(&format!("serve loop failed: {err}")));
+    let elapsed = started.elapsed();
+    let responses = String::from_utf8(out)
+        .unwrap_or_else(|err| die(&format!("non-UTF-8 response: {err}")))
+        .lines()
+        .map(|line| {
+            Json::parse(line).unwrap_or_else(|err| die(&format!("unstructured response: {err}")))
+        })
+        .collect();
+    (responses, elapsed)
+}
+
+fn deep_nesting() -> Verdict {
+    const DEPTH: usize = 1_000_000;
+    let deep = format!(
+        "{{\"id\":50,\"kind\":\"ping\",\"x\":{}{}}}",
+        "[".repeat(DEPTH),
+        "]".repeat(DEPTH)
+    );
+    let (responses, _) = serve_lines(&[deep, r#"{"id":51,"kind":"ping"}"#.to_string()]);
+    if responses.len() != 2 {
+        die(&format!("expected 2 responses, got {}", responses.len()));
+    }
+    expect_status(&responses[0], "error", "deeply nested line");
+    let reason = responses[0].field("error").and_then(Json::as_str).unwrap();
+    if !reason.contains("64-level limit") {
+        die(&format!(
+            "nesting error does not name the limit: {reason:?}"
+        ));
+    }
+    expect_status(&responses[1], "ok", "ping after the deep line");
+    Verdict {
+        name: "deep-nesting",
+        detail: format!("{DEPTH}-deep line refused ({reason:?}), next line served"),
+    }
+}
+
+fn huge_string() -> Verdict {
+    // 15 MiB of text with two escapes and a non-ASCII char in every 64
+    // bytes, so both the plain-run and the escape paths are exercised.
+    let run = format!("{}\\n\\\"é", "x".repeat(58));
+    let pad = run.repeat(15 * 1024 * 1024 / run.len());
+    let line = format!("{{\"id\":60,\"kind\":\"ping\",\"pad\":\"{pad}\"}}");
+    let bytes = line.len();
+    let (responses, elapsed) = serve_lines(&[line]);
+    if responses.len() != 1 {
+        die(&format!("expected 1 response, got {}", responses.len()));
+    }
+    expect_status(&responses[0], "ok", "string-heavy line");
+    if elapsed > Duration::from_secs(1) {
+        die(&format!(
+            "{bytes}-byte string-heavy line took {elapsed:?} (limit 1 s)"
+        ));
+    }
+    Verdict {
+        name: "huge-string",
+        detail: format!("{bytes}-byte string-heavy line answered in {elapsed:?}"),
+    }
+}
+
 // --- Driver -----------------------------------------------------------------
 
 fn sibling_worker() -> PathBuf {
@@ -498,6 +577,8 @@ fn main() {
         flood(&healthy),
         deadline_exceeded(&healthy),
         killed_resume(&scratch, &worker),
+        deep_nesting(),
+        huge_string(),
     ];
     // A scenario that fails die()s before reaching here, so every listed
     // verdict passed.

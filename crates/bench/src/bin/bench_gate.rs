@@ -9,7 +9,7 @@
 //! ```text
 //! bench-gate BENCH_sim.json --matrix campaign --min 0.5
 //! bench-gate BENCH_sim.json --max-telemetry-overhead 25
-//! bench-gate CHAOS_report.json --chaos-scenarios 6
+//! bench-gate CHAOS_report.json --chaos-scenarios 8
 //! ```
 //!
 //! With `--matrix`/`--min`, exits non-zero (with a diagnostic on stderr)

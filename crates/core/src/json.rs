@@ -6,6 +6,14 @@
 //! parser. Floats are written with Rust's shortest round-trip `Display`, so a
 //! serialize → parse cycle reproduces bit-identical values.
 //!
+//! The parser is linear in its input and refuses nesting deeper than
+//! [`MAX_DEPTH`] levels and numbers that overflow `f64`, so any line a
+//! client sends is parsed in bounded stack and time. Rendering is
+//! injective on parsed values: two parsed values render to the same text
+//! only if they are equal, which lets callers key caches on the rendered
+//! text. A [`RawJson`] holds a value rendered once; [`Json::Raw`] splices it
+//! into a later render verbatim.
+//!
 //! It lives in `themis-core` (rather than the facade) so that core-level
 //! artifacts — most importantly the serialized [`crate::ScheduleCache`] used
 //! for cross-process campaign sharding — can read and write the same format
@@ -15,6 +23,13 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. Real
+/// payloads nest at most 8 levels; the bound keeps the recursive descent
+/// (and dropping, comparing or rendering the result) off the end of the
+/// stack whatever a client sends.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON serialization or parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +70,23 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, Json)>),
+    /// A value rendered ahead of time, copied verbatim by [`Json::render`].
+    /// [`Json::parse`] never produces it, and the accessors treat it as
+    /// opaque: they answer a type error that names it.
+    Raw(RawJson),
+}
+
+/// A [`Json`] value rendered once, to be spliced into later renders without
+/// re-encoding it. Only rendering a `Json` builds one, so the text is always
+/// valid JSON. Clones share the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawJson(Arc<str>);
+
+impl RawJson {
+    /// Renders `value` once.
+    pub fn new(value: &Json) -> Self {
+        RawJson(value.render().into())
+    }
 }
 
 impl Json {
@@ -73,6 +105,9 @@ impl Json {
 
     /// A required object field, as a [`JsonError`] on absence.
     pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
+        if let Json::Raw(_) = self {
+            return Err(type_error("object", self));
+        }
         self.get(key)
             .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
     }
@@ -139,6 +174,7 @@ impl Json {
                 }
             }
             Json::Str(s) => write_escaped(out, s),
+            Json::Raw(RawJson(text)) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -168,11 +204,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input or trailing garbage.
+    /// Returns [`JsonError`] on malformed input, trailing garbage, nesting
+    /// deeper than [`MAX_DEPTH`], or a number outside the finite `f64` range.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err_at("trailing characters after JSON value", pos));
@@ -189,6 +226,7 @@ fn type_error(expected: &str, got: &Json) -> JsonError {
         Json::Str(_) => "string",
         Json::Arr(_) => "array",
         Json::Obj(_) => "object",
+        Json::Raw(_) => "pre-rendered value",
     };
     JsonError::new(format!("expected a {expected}, got {kind}"))
 }
@@ -230,15 +268,20 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err_at(
+            &format!("nesting exceeds the {MAX_DEPTH}-level limit"),
+            *pos,
+        )),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(_) => Err(err_at("unexpected character", *pos)),
         None => Err(err_at("unexpected end of input", *pos)),
@@ -271,9 +314,14 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     let text =
         std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err_at("invalid number", start))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err_at(&format!("invalid number `{text}`"), start))
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(err_at(
+            &format!("number `{text}` is out of the finite 64-bit float range"),
+            start,
+        )),
+        Err(_) => Err(err_at(&format!("invalid number `{text}`"), start)),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -330,13 +378,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so this is
-                // always a char boundary walk).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err_at("invalid UTF-8", *pos))?;
-                let ch = rest.chars().next().expect("non-empty by construction");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary, and each
+                // byte is validated once: parsing stays linear.
+                let start = *pos;
+                *pos = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| start + run);
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err_at("invalid UTF-8", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -350,7 +402,7 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
     u32::from_str_radix(hex, 16).map_err(|_| err_at("invalid \\u escape", at))
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -359,7 +411,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -372,7 +424,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -385,7 +437,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -504,5 +556,73 @@ mod tests {
         assert!(value.field("missing").is_err());
         assert!(value.get("s").unwrap().as_str().is_ok());
         assert!(!JsonError::new("boom").to_string().is_empty());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_structured_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        for text in [nested(MAX_DEPTH + 1), nested(1_000_000)] {
+            let reason = Json::parse(&text).unwrap_err().reason;
+            assert!(reason.contains("64-level limit"), "{reason}");
+            assert!(reason.contains(&format!("(byte {MAX_DEPTH})")), "{reason}");
+        }
+    }
+
+    #[test]
+    fn numbers_outside_the_finite_range_are_rejected() {
+        for text in ["1e999", "-1e999", "[1e400]"] {
+            let reason = Json::parse(text).unwrap_err().reason;
+            assert!(reason.contains("out of the finite"), "{text}: {reason}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+    }
+
+    #[test]
+    fn raw_values_render_verbatim_and_stay_opaque() {
+        let cell = Json::obj([("x", Json::Num(0.1 + 0.2)), ("s", Json::Str("\"".into()))]);
+        let spliced = Json::Arr(vec![Json::Raw(RawJson::new(&cell)), Json::Null]);
+        let plain = Json::Arr(vec![cell, Json::Null]);
+        assert_eq!(spliced.render(), plain.render());
+        let raw = Json::Raw(RawJson::new(&Json::Num(1.0)));
+        for err in [
+            raw.as_f64().unwrap_err(),
+            raw.as_arr().unwrap_err(),
+            raw.field("x").unwrap_err(),
+        ] {
+            assert!(err.reason.contains("pre-rendered"), "{}", err.reason);
+        }
+        assert!(raw.get("x").is_none());
+    }
+
+    /// Best-of-3 wall time to parse `text`.
+    fn parse_time(text: &str) -> std::time::Duration {
+        (0..3)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                assert!(Json::parse(text).is_ok());
+                started.elapsed()
+            })
+            .min()
+            .expect("three timings")
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_its_length() {
+        const MIB: usize = 1 << 20;
+        let plain = |len: usize| format!("\"{}\"", "x".repeat(len));
+        // A `\n` escape every 4 bytes of input.
+        let escaped = |len: usize| format!("\"{}\"", "ab\\n".repeat(len / 4));
+        for (name, make) in [
+            ("plain", &plain as &dyn Fn(usize) -> String),
+            ("escape-heavy", &escaped),
+        ] {
+            let (small, large) = (parse_time(&make(MIB)), parse_time(&make(4 * MIB)));
+            assert!(large.as_secs_f64() < 1.0, "{name}: 4 MiB took {large:?}");
+            let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+            assert!(ratio <= 6.0, "{name}: 4 MiB / 1 MiB time ratio {ratio:.1}");
+        }
     }
 }

@@ -9,4 +9,4 @@
 //! [`JsonError`]s convert into [`crate::error::ThemisError::Json`], so `?`
 //! works across the whole API surface.
 
-pub use themis_core::json::{Json, JsonError};
+pub use themis_core::json::{Json, JsonError, RawJson, MAX_DEPTH};

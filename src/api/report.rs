@@ -169,13 +169,15 @@ impl CampaignReport {
 
     /// The report as a [`Json`] value (embedded in merged shard reports).
     pub(crate) fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("version", Json::Num(1.0)),
-            (
-                "results",
-                Json::Arr(self.results.iter().map(run_result_to_json).collect()),
-            ),
-        ])
+        Self::envelope(self.results.iter().map(run_result_to_json).collect())
+    }
+
+    /// The report layout around already-encoded cells, one
+    /// [`run_result_to_json`] value (or its pre-rendered text) per cell.
+    /// The service splices memoised cells into it, so a served report is
+    /// byte-identical to [`CampaignReport::to_json`].
+    pub(crate) fn envelope(results: Vec<Json>) -> Json {
+        Json::obj([("version", Json::Num(1.0)), ("results", Json::Arr(results))])
     }
 
     /// Deserializes a report previously produced by

@@ -26,7 +26,10 @@
 //! ```
 //!
 //! A malformed line never crashes the service — it answers with a structured
-//! `status:"error"` response and keeps serving. Lines longer than
+//! `status:"error"` response and keeps serving. The parser is linear in the
+//! line's length and refuses nesting deeper than
+//! [`crate::api::json::MAX_DEPTH`] levels and numbers that overflow `f64`.
+//! Lines longer than
 //! [`ServeOptions::max_line_bytes`] are drained without ever being buffered
 //! and answered the same way, so a runaway client cannot exhaust the
 //! daemon's memory. Request kinds:
@@ -81,16 +84,25 @@
 //! (platform, job) cell, the first computes it and the second *waits for that
 //! computation* instead of re-simulating. Results are evicted FIFO beyond
 //! [`ServeOptions::max_resident_cells`], bounding the daemon's working set.
+//!
+//! The cache holds each cell's result rendered once, as a
+//! [`RawJson`]; a hit splices that text into the report envelope, so a
+//! served hit costs one parse of the request plus a byte copy per cell and
+//! its `result` is byte-identical to `to_json` of the uncached runner. A
+//! cell's key is the render of the request's own parsed cell values:
+//! whitespace, number spelling and string escapes normalise, while key
+//! order and omitted optional fields (`faults`, `reference_engine`) give
+//! correct results in separate entries.
 
-use crate::api::json::Json;
+use crate::api::json::{Json, RawJson};
 use crate::api::orchestrator::{Orchestrator, OrchestratorOptions};
-use crate::api::report::{CampaignReport, RunResult};
+use crate::api::report::{run_result_to_json, CampaignReport};
 use crate::api::runner::{CampaignCell, RunSpec, Runner};
 use crate::api::shard::{
     job_from_json, job_to_json, platform_from_json, platform_to_json, stream_job_from_json,
     stream_job_to_json, ShardSpec, ShardStrategy,
 };
-use crate::api::stream::{StreamCampaignReport, StreamRunResult, StreamSpec};
+use crate::api::stream::{stream_result_to_json, StreamCampaignReport, StreamSpec};
 use crate::error::ThemisError;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -310,19 +322,37 @@ impl Service {
     /// request kinds the built-in protocol does not know (the `themis-serve`
     /// binary plugs the figure-suite runner in this way). The hook returns
     /// `None` to decline, or `Some(result)` to answer.
+    ///
+    /// Parsing the line and rendering the response are timed into the
+    /// `serve.phase_ns.parse` and `serve.phase_ns.encode` histograms.
     pub fn handle_line_with(
         &self,
         line: &str,
         ext: impl FnOnce(&Service, &str, &Json) -> Option<Result<Json, ThemisError>>,
     ) -> String {
-        let request = match Json::parse(line) {
-            Ok(request) => request,
-            Err(err) => return render_error(&Json::Null, &format!("malformed request: {err}")),
+        let parse = self.telemetry.span("serve.phase_ns.parse");
+        let request = Json::parse(line);
+        parse.finish();
+        let response = match request {
+            Ok(request) => self.respond(&request, ext),
+            Err(err) => error_response(&Json::Null, &format!("malformed request: {err}")),
         };
+        let encode = self.telemetry.span("serve.phase_ns.encode");
+        let text = response.render();
+        encode.finish();
+        text
+    }
+
+    /// Answers one parsed request with its response object.
+    fn respond(
+        &self,
+        request: &Json,
+        ext: impl FnOnce(&Service, &str, &Json) -> Option<Result<Json, ThemisError>>,
+    ) -> Json {
         let id = request.get("id").cloned().unwrap_or(Json::Null);
         let kind = match request.field("kind").and_then(Json::as_str) {
             Ok(kind) => kind.to_string(),
-            Err(err) => return render_error(&id, &format!("invalid request: {err}")),
+            Err(err) => return error_response(&id, &format!("invalid request: {err}")),
         };
         let before = self.counters();
         self.telemetry
@@ -336,7 +366,7 @@ impl Service {
                 Some(permit) => Some(permit),
                 None => {
                     self.telemetry.counter("serve.shed").inc();
-                    return render_overloaded(&id, &kind, self.options.retry_after_ms);
+                    return overloaded_response(&id, &kind, self.options.retry_after_ms);
                 }
             }
         } else {
@@ -348,7 +378,7 @@ impl Service {
         // Cell computations carry their own inner guard (see
         // `compute_isolated`) so a panicking cell also releases its
         // single-flight slot; this outer net catches everything else.
-        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(&kind, &request, ext)))
+        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(&kind, request, ext)))
             .unwrap_or_else(|payload| {
                 self.telemetry.counter("serve.panics").inc();
                 Err(ThemisError::Serve {
@@ -368,15 +398,14 @@ impl Service {
                     ("result", result),
                     ("cache", delta.to_json(self)),
                 ])
-                .render()
             }
             Err(err) if err.is_cancelled() => {
                 self.telemetry.counter("serve.timeouts").inc();
-                render_timeout(&id, &kind)
+                timeout_response(&id, &kind)
             }
             Err(err) => {
                 self.telemetry.counter(format!("serve.errors.{kind}")).inc();
-                render_error(&id, &err.to_string())
+                error_response(&id, &err.to_string())
             }
         }
     }
@@ -406,13 +435,14 @@ impl Service {
         loop {
             let response = match read_bounded_line(&mut reader, self.options.max_line_bytes)? {
                 LineOutcome::Eof => break,
-                LineOutcome::Oversized(len) => render_error(
+                LineOutcome::Oversized(len) => error_response(
                     &Json::Null,
                     &format!(
                         "request line too long: {len} bytes exceeds the {} byte limit",
                         self.options.max_line_bytes
                     ),
-                ),
+                )
+                .render(),
                 LineOutcome::Line(line) => {
                     if line.trim().is_empty() {
                         continue;
@@ -463,8 +493,8 @@ impl Service {
     }
 
     /// Executes a `campaign` request: each cell through the single-flight
-    /// result cache on the resident plan. Bit-identical to
-    /// [`Runner::execute`] on the same specs.
+    /// result cache on the resident plan. Byte-identical to
+    /// [`CampaignReport::to_json`] of [`Runner::execute`] on the same specs.
     fn handle_campaign(&self, request: &Json) -> Result<Json, ThemisError> {
         let mut workspace = SimWorkspace::with_telemetry(self.telemetry.clone());
         if let Some(token) = self.deadline_token(request)? {
@@ -472,27 +502,19 @@ impl Service {
         }
         let mut results = Vec::new();
         for cell in request.field("cells")?.as_arr()? {
-            let spec = RunSpec::new(
-                platform_from_json(cell.field("platform")?)?,
-                job_from_json(cell.field("job")?)?,
-            );
-            // Canonical key: re-render the parsed spec, so formatting
-            // differences between clients cannot split the cache.
-            let key = format!(
-                "campaign:{}:{}",
-                platform_to_json(&spec.platform).render(),
-                job_to_json(&spec.job).render()
-            );
-            let value = self.compute_isolated(&key, || {
+            // Decoded on hits too, in the same order as ever: an invalid
+            // cell answers the same error, never a hit.
+            let platform = cell.field("platform")?;
+            let decoded = platform_from_json(platform)?;
+            let job = cell.field("job")?;
+            let spec = RunSpec::new(decoded, job_from_json(job)?);
+            let key = format!("campaign:{}:{}", platform.render(), job.render());
+            results.push(self.compute_rendered(&key, || {
                 spec.execute_planned(&self.plan, &mut workspace)
-                    .map(CellValue::Campaign)
-            })?;
-            match value {
-                CellValue::Campaign(result) => results.push(result),
-                _ => unreachable!("campaign keys hold campaign results"),
-            }
+                    .map(|result| run_result_to_json(&result))
+            })?);
         }
-        Ok(CampaignReport::new(results).to_json_value())
+        Ok(CampaignReport::envelope(results))
     }
 
     /// Executes a `stream` request; the stream analogue of
@@ -504,25 +526,41 @@ impl Service {
         }
         let mut results = Vec::new();
         for cell in request.field("cells")?.as_arr()? {
-            let spec = StreamSpec::new(
-                platform_from_json(cell.field("platform")?)?,
-                stream_job_from_json(cell.field("stream")?)?,
-            );
-            let key = format!(
-                "stream:{}:{}",
-                platform_to_json(&spec.platform).render(),
-                stream_job_to_json(&spec.job).render()
-            );
-            let value = self.compute_isolated(&key, || {
+            let platform = cell.field("platform")?;
+            let decoded = platform_from_json(platform)?;
+            let stream = cell.field("stream")?;
+            let spec = StreamSpec::new(decoded, stream_job_from_json(stream)?);
+            let key = format!("stream:{}:{}", platform.render(), stream.render());
+            results.push(self.compute_rendered(&key, || {
                 spec.execute_planned(&self.plan, &mut workspace)
-                    .map(CellValue::Stream)
-            })?;
-            match value {
-                CellValue::Stream(result) => results.push(result),
-                _ => unreachable!("stream keys hold stream results"),
-            }
+                    .map(|result| stream_result_to_json(&result))
+            })?);
         }
-        Ok(StreamCampaignReport::new(results).to_json_value())
+        Ok(StreamCampaignReport::envelope(results))
+    }
+
+    /// Runs a built-in cell through [`Service::compute_isolated`] and
+    /// memoises its encoded result as rendered text, so a hit splices the
+    /// text into the response instead of encoding the cell again.
+    ///
+    /// The key is the render of the request's own parsed cell values.
+    /// Rendering is injective on parsed values, so equal keys mean equal
+    /// specs; whitespace, number spelling and string escapes do not split
+    /// the cache, but key order and omitted optional fields do.
+    fn compute_rendered(
+        &self,
+        key: &str,
+        encode: impl FnOnce() -> Result<Json, ThemisError>,
+    ) -> Result<Json, ThemisError> {
+        let value = self.compute_isolated(key, || {
+            encode().map(|cell| CellValue::Rendered(RawJson::new(&cell)))
+        })?;
+        match value {
+            CellValue::Rendered(raw) => Ok(Json::Raw(raw)),
+            CellValue::Ext(_) => Err(ThemisError::Serve {
+                reason: format!("cell key `{key}` already holds an extension cell result"),
+            }),
+        }
     }
 
     /// The request's cooperative-cancellation token: its `deadline_ms` field
@@ -595,7 +633,7 @@ impl Service {
     ) -> Result<Json, ThemisError> {
         match self.compute_isolated(key, || compute().map(CellValue::Ext))? {
             CellValue::Ext(value) => Ok(value),
-            _ => Err(ThemisError::Serve {
+            CellValue::Rendered(_) => Err(ThemisError::Serve {
                 reason: format!("cell key `{key}` already holds a built-in cell result"),
             }),
         }
@@ -603,9 +641,9 @@ impl Service {
 
     /// Executes a `shard` request against the resident plan cache.
     fn handle_shard(&self, request: &Json) -> Result<Json, ThemisError> {
-        let spec = ShardSpec::from_json(&request.field("spec")?.render())?;
+        let spec = ShardSpec::from_json_value(request.field("spec")?)?;
         let report = spec.execute_with_cache(&Runner::sequential(), &self.plan)?;
-        Ok(Json::parse(&report.to_json())?)
+        Ok(report.to_json_value())
     }
 
     /// Executes a `sweep` request: plans shards over the request's cells and
@@ -693,7 +731,7 @@ impl Service {
             }
         };
         Ok(Json::obj([
-            ("merged", Json::parse(&outcome.merged.to_json())?),
+            ("merged", outcome.merged.to_json_value()),
             (
                 "attempts",
                 Json::Arr(
@@ -905,18 +943,17 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, cap: usize) -> std::io::Result<
     }
 }
 
-/// Renders a `status:"error"` response line.
-fn render_error(id: &Json, reason: &str) -> String {
+/// A `status:"error"` response.
+fn error_response(id: &Json, reason: &str) -> Json {
     Json::obj([
         ("id", id.clone()),
         ("status", Json::Str("error".to_string())),
         ("error", Json::Str(reason.to_string())),
     ])
-    .render()
 }
 
-/// Renders a `status:"overloaded"` load-shed response with its retry hint.
-fn render_overloaded(id: &Json, kind: &str, retry_after_ms: u64) -> String {
+/// A `status:"overloaded"` load-shed response with its retry hint.
+fn overloaded_response(id: &Json, kind: &str, retry_after_ms: u64) -> Json {
     Json::obj([
         ("id", id.clone()),
         ("status", Json::Str("overloaded".to_string())),
@@ -927,11 +964,10 @@ fn render_overloaded(id: &Json, kind: &str, retry_after_ms: u64) -> String {
             Json::Str("in-flight request budget exhausted; retry later".to_string()),
         ),
     ])
-    .render()
 }
 
-/// Renders a `status:"timeout"` deadline-exceeded response.
-fn render_timeout(id: &Json, kind: &str) -> String {
+/// A `status:"timeout"` deadline-exceeded response.
+fn timeout_response(id: &Json, kind: &str) -> Json {
     Json::obj([
         ("id", id.clone()),
         ("status", Json::Str("timeout".to_string())),
@@ -941,7 +977,6 @@ fn render_timeout(id: &Json, kind: &str) -> String {
             Json::Str("request deadline exceeded; the simulation was cancelled".to_string()),
         ),
     ])
-    .render()
 }
 
 /// Heavy kinds run simulations or spawn processes and are subject to
@@ -1044,10 +1079,9 @@ impl CacheCounters {
 /// One memoised cell result.
 #[derive(Debug, Clone)]
 enum CellValue {
-    /// A collective-campaign cell.
-    Campaign(RunResult),
-    /// A stream-campaign cell.
-    Stream(StreamRunResult),
+    /// A `campaign` or `stream` cell, encoded and rendered once (the key's
+    /// prefix says which).
+    Rendered(RawJson),
     /// An extension-hook cell ([`Service::compute_cell`]).
     Ext(Json),
 }
@@ -1310,25 +1344,7 @@ mod tests {
     #[test]
     fn single_flight_cell_cache_deduplicates_and_evicts() {
         let cache = CellCache::new(2);
-        let value = || {
-            Ok(CellValue::Campaign(RunResult {
-                config: crate::api::report::RunConfig {
-                    topology: "t".to_string(),
-                    scheduler: SchedulerKind::Baseline,
-                    collective: themis_collectives::CollectiveKind::AllReduce,
-                    size: themis_net::DataSize::from_mib(1.0),
-                    chunks: 1,
-                },
-                report: themis_sim::SimReport {
-                    scheduler_name: "s".to_string(),
-                    topology_name: "t".to_string(),
-                    total_time_ns: 0.0,
-                    activity_window_ns: 1.0,
-                    dims: Vec::new(),
-                    op_log: Vec::new(),
-                },
-            }))
-        };
+        let value = || Ok(CellValue::Rendered(RawJson::new(&Json::Num(1.0))));
         cache.get_or_compute("a".to_string(), value).unwrap();
         cache.get_or_compute("a".to_string(), value).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));

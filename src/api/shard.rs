@@ -447,6 +447,11 @@ impl ShardSpec {
 
     /// Serializes the shard spec to compact JSON.
     pub fn to_json(&self) -> String {
+        self.to_json_value().render()
+    }
+
+    /// The spec as a [`Json`] value.
+    pub(crate) fn to_json_value(&self) -> Json {
         let (cells_kind, entries) = match &self.cells {
             ShardCells::Campaign(cells) => (
                 "campaign",
@@ -483,7 +488,6 @@ impl ShardSpec {
             ("shard_count", Json::Num(self.shard_count as f64)),
             ("entries", Json::Arr(entries)),
         ])
-        .render()
     }
 
     /// Deserializes a spec previously produced by [`ShardSpec::to_json`].
@@ -493,7 +497,11 @@ impl ShardSpec {
     /// Returns [`ThemisError::Json`] on malformed text or an unknown layout,
     /// and [`ThemisError::Net`] if a serialized platform fails validation.
     pub fn from_json(text: &str) -> Result<Self, ThemisError> {
-        let value = Json::parse(text)?;
+        Self::from_json_value(&Json::parse(text)?)
+    }
+
+    /// Deserializes a spec from an already-parsed [`Json`] value.
+    pub(crate) fn from_json_value(value: &Json) -> Result<Self, ThemisError> {
         let version = value.field("version")?.as_usize()?;
         let kind = value.field("kind")?.as_str()?;
         if version != 1 || kind != "shard-spec" {
@@ -626,6 +634,11 @@ impl ShardReport {
 
     /// Serializes the partial report to compact JSON.
     pub fn to_json(&self) -> String {
+        self.to_json_value().render()
+    }
+
+    /// The partial report as a [`Json`] value.
+    pub(crate) fn to_json_value(&self) -> Json {
         let (cells_kind, entries) = match &self.results {
             ShardResults::Campaign(results) => (
                 "campaign",
@@ -667,7 +680,6 @@ impl ShardReport {
             ),
             ("results", Json::Arr(entries)),
         ])
-        .render()
     }
 
     /// Deserializes a report previously produced by [`ShardReport::to_json`].
@@ -676,7 +688,11 @@ impl ShardReport {
     ///
     /// Returns [`ThemisError::Json`] on malformed text or an unknown layout.
     pub fn from_json(text: &str) -> Result<Self, ThemisError> {
-        let value = Json::parse(text)?;
+        Self::from_json_value(&Json::parse(text)?)
+    }
+
+    /// Deserializes a partial report from an already-parsed [`Json`] value.
+    pub(crate) fn from_json_value(value: &Json) -> Result<Self, ThemisError> {
         let version = value.field("version")?.as_usize()?;
         let kind = value.field("kind")?.as_str()?;
         if version != 1 || kind != "shard-report" {
@@ -788,6 +804,11 @@ impl MergedReport {
     /// Serializes the merged report (campaign report + cache counters) to
     /// compact JSON.
     pub fn to_json(&self) -> String {
+        self.to_json_value().render()
+    }
+
+    /// The merged report as a [`Json`] value.
+    pub(crate) fn to_json_value(&self) -> Json {
         let (kind, report) = match &self.results {
             MergedResults::Campaign(report) => ("merged-campaign", report.to_json_value()),
             MergedResults::Stream(report) => ("merged-stream", report.to_json_value()),
@@ -804,7 +825,6 @@ impl MergedReport {
             ),
             ("report", report),
         ])
-        .render()
     }
 
     /// Deserializes a report previously produced by [`MergedReport::to_json`].
@@ -813,7 +833,11 @@ impl MergedReport {
     ///
     /// Returns [`ThemisError::Json`] on malformed text or an unknown layout.
     pub fn from_json(text: &str) -> Result<Self, ThemisError> {
-        let value = Json::parse(text)?;
+        Self::from_json_value(&Json::parse(text)?)
+    }
+
+    /// Deserializes a merged report from an already-parsed [`Json`] value.
+    pub(crate) fn from_json_value(value: &Json) -> Result<Self, ThemisError> {
         let version = value.field("version")?.as_usize()?;
         let kind = value.field("kind")?.as_str()?;
         if version != 1 {

@@ -683,13 +683,18 @@ impl StreamCampaignReport {
 
     /// The report as a [`Json`] value (embedded in merged shard reports).
     pub(crate) fn to_json_value(&self) -> Json {
+        Self::envelope(self.results.iter().map(stream_result_to_json).collect())
+    }
+
+    /// The report layout around already-encoded cells, one
+    /// [`stream_result_to_json`] value (or its pre-rendered text) per cell;
+    /// the stream analogue of
+    /// [`crate::api::report::CampaignReport::envelope`].
+    pub(crate) fn envelope(results: Vec<Json>) -> Json {
         Json::obj([
             ("version", Json::Num(1.0)),
             ("kind", Json::Str("stream-campaign".to_string())),
-            (
-                "results",
-                Json::Arr(self.results.iter().map(stream_result_to_json).collect()),
-            ),
+            ("results", Json::Arr(results)),
         ])
     }
 

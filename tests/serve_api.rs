@@ -140,6 +140,164 @@ fn stream_responses_are_bit_identical_to_runner_execute_streams() {
     assert_eq!(report, reference);
 }
 
+/// The `result` bytes of an `ok` response line, exactly as sent.
+fn result_bytes<'a>(response: &'a str, id: usize, kind: &str) -> &'a str {
+    let head = format!("{{\"id\":{id},\"status\":\"ok\",\"kind\":\"{kind}\",\"result\":");
+    let rest = response
+        .strip_prefix(head.as_str())
+        .unwrap_or_else(|| panic!("unexpected response head: {response:.300}"));
+    let end = rest
+        .rfind(",\"cache\":")
+        .expect("ok responses end with their cache block");
+    &rest[..end]
+}
+
+/// The response's per-request cell-cache `(hits, misses)`.
+fn cell_delta(response: &str) -> (usize, usize) {
+    let response = parse_ok(response);
+    let cells = response.field("cache").unwrap().field("cells").unwrap();
+    let count = |name| cells.field(name).unwrap().as_usize().unwrap();
+    (count("hits"), count("misses"))
+}
+
+#[test]
+fn hits_are_byte_identical_to_the_encoder() {
+    let campaign = campaign_specs();
+    let streams = stream_specs();
+    let campaign_report =
+        CampaignReport::new(Runner::sequential().execute(&campaign).unwrap()).to_json();
+    let stream_report =
+        StreamCampaignReport::new(Runner::sequential().execute_streams(&streams).unwrap())
+            .to_json();
+    let service = Service::default();
+    for (kind, cells, count, expected) in [
+        (
+            "campaign",
+            campaign_cells_to_json(&campaign),
+            campaign.len(),
+            campaign_report,
+        ),
+        (
+            "stream",
+            stream_cells_to_json(&streams),
+            streams.len(),
+            stream_report,
+        ),
+    ] {
+        // A miss, then a hit served from the memoised rendered cells.
+        for (id, delta) in [(1, (0, count)), (2, (count, 0))] {
+            let line = request(id, kind, vec![("cells", cells.clone())]);
+            let response = service.handle_line(&line);
+            assert_eq!(cell_delta(&response), delta, "{kind} request {id}");
+            assert_eq!(result_bytes(&response, id, kind), expected, "{kind} {id}");
+        }
+    }
+}
+
+#[test]
+fn cache_keys_normalise_spelling_but_not_key_order_or_omitted_fields() {
+    let specs = &campaign_specs()[..1];
+    let expected = CampaignReport::new(Runner::sequential().execute(specs).unwrap()).to_json();
+    let plain = request(
+        1,
+        "campaign",
+        vec![("cells", campaign_cells_to_json(specs))],
+    );
+    let edit = |from: &str, to: &str| {
+        assert!(plain.contains(from), "{from} not in {plain}");
+        plain.replace(from, to)
+    };
+    let size = Json::Num(specs[0].job.size().as_bytes_f64()).render();
+    let service = Service::default();
+    for (line, delta) in [
+        (plain.clone(), (0, 1)),
+        // Whitespace, number spelling and string escapes normalise: hits.
+        (
+            edit(
+                &format!("\"size_bytes\":{size}"),
+                &format!("\"size_bytes\" : {size}.0e0 "),
+            ),
+            (1, 0),
+        ),
+        (edit("\"chunks\":4", "\"chunks\":4.0"), (1, 0)),
+        (edit("\"2D-SW_SW\"", "\"2D-\\u0053W_SW\""), (1, 0)),
+        // Key order and omitted optional fields do not: correct results in
+        // separate cache entries.
+        (
+            edit(
+                "\"chunks\":4,\"scheduler\":\"Baseline\"",
+                "\"scheduler\":\"Baseline\",\"chunks\":4",
+            ),
+            (0, 1),
+        ),
+        (edit(",\"faults\":[]", ""), (0, 1)),
+    ] {
+        let response = service.handle_line(&line);
+        assert_eq!(cell_delta(&response), delta, "{line}");
+        assert_eq!(result_bytes(&response, 1, "campaign"), expected, "{line}");
+    }
+    assert_eq!(service.resident_cells(), 3);
+}
+
+#[test]
+fn numbers_that_overflow_f64_are_rejected_not_saturated() {
+    let specs = &campaign_specs()[..1];
+    let plain = request(
+        1,
+        "campaign",
+        vec![("cells", campaign_cells_to_json(specs))],
+    );
+    let size = Json::Num(specs[0].job.size().as_bytes_f64()).render();
+    let service = Service::default();
+    for huge in ["1e999", "-1e999"] {
+        let line = plain.replace(
+            &format!("\"size_bytes\":{size}"),
+            &format!("\"size_bytes\":{huge}"),
+        );
+        assert_ne!(line, plain);
+        let response = Json::parse(&service.handle_line(&line)).unwrap();
+        assert_eq!(response.field("status").unwrap().as_str().unwrap(), "error");
+        let reason = response.field("error").unwrap().as_str().unwrap();
+        assert!(reason.contains(&format!("`{huge}`")), "{reason}");
+        assert!(reason.contains("finite"), "{reason}");
+    }
+    assert_eq!(service.resident_cells(), 0, "nothing was simulated");
+}
+
+#[test]
+fn a_deeply_nested_line_gets_a_structured_error_and_the_next_line_is_served() {
+    // ~2 MB of nesting: a recursive parser without a depth bound overflows
+    // the stack here, which no panic guard can catch.
+    let depth = 1_000_000;
+    let deep = format!(
+        "{{\"id\":1,\"kind\":\"ping\",\"x\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let input = format!("{deep}\n{}\n", request(2, "ping", vec![]));
+    let service = Service::default();
+    let mut out: Vec<u8> = Vec::new();
+    service
+        .serve(std::io::Cursor::new(input.into_bytes()), &mut out)
+        .unwrap();
+    let responses: Vec<Json> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .collect();
+    assert_eq!(responses.len(), 2);
+    assert_eq!(
+        responses[0].field("status").unwrap().as_str().unwrap(),
+        "error"
+    );
+    let reason = responses[0].field("error").unwrap().as_str().unwrap();
+    assert!(reason.contains("64-level limit"), "{reason}");
+    assert_eq!(
+        responses[1].field("status").unwrap().as_str().unwrap(),
+        "ok"
+    );
+}
+
 #[test]
 fn shard_requests_execute_against_the_resident_plan() {
     let specs = campaign_specs();

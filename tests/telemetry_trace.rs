@@ -127,6 +127,23 @@ fn service_answers_metrics_with_counters_and_prometheus_text() {
         .field("serve.latency_ns.campaign")
         .unwrap();
     assert_eq!(latency.field("count").unwrap().as_usize().unwrap(), 2);
+    // The codec phases around dispatch: the `metrics` request itself was
+    // parsed before the snapshot, but its response is rendered after it.
+    let phase = |name: &str| {
+        result
+            .field("snapshot")
+            .unwrap()
+            .field("histograms")
+            .unwrap()
+            .field(name)
+            .unwrap()
+            .field("count")
+            .unwrap()
+            .as_usize()
+            .unwrap()
+    };
+    assert_eq!(phase("serve.phase_ns.parse"), 3);
+    assert_eq!(phase("serve.phase_ns.encode"), 2);
     let prometheus = result.field("prometheus").unwrap().as_str().unwrap();
     assert!(prometheus.contains("themis_serve_requests_campaign 2"));
     assert!(prometheus.contains("themis_serve_latency_ns_campaign_count 2"));
