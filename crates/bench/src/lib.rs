@@ -34,9 +34,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod harness;
 pub mod report;
 pub mod service_ext;
 
-pub use harness::{measure, BenchStat};
 pub use report::{Report, Table};

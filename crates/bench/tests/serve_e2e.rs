@@ -181,11 +181,13 @@ impl Daemon {
     }
 }
 
-fn cell_delta(response: &Json, counter: &str) -> usize {
+/// One counter of a response's per-request cache deltas, e.g.
+/// `cache.cells.hits`.
+fn cache_delta(response: &Json, pool: &str, counter: &str) -> usize {
     response
         .field("cache")
         .unwrap()
-        .field("cells")
+        .field(pool)
         .unwrap()
         .field(counter)
         .unwrap()
@@ -193,22 +195,37 @@ fn cell_delta(response: &Json, counter: &str) -> usize {
         .unwrap()
 }
 
+fn campaign_line(specs: &[RunSpec]) -> String {
+    Json::obj([
+        ("id", Json::Num(1.0)),
+        ("kind", Json::Str("campaign".to_string())),
+        ("cells", campaign_cells_to_json(specs)),
+    ])
+    .render()
+}
+
+/// The `result` of an ok campaign response, decoded back into a report.
+fn campaign_result(response: &Json) -> CampaignReport {
+    assert_eq!(response.field("status").unwrap().as_str().unwrap(), "ok");
+    CampaignReport::from_json(&response.field("result").unwrap().render()).unwrap()
+}
+
 #[test]
 fn a_resident_daemon_serves_the_second_request_from_its_warm_cache() {
     let specs = campaign_specs();
-    let line = Json::obj([
-        ("id", Json::Num(1.0)),
-        ("kind", Json::Str("campaign".to_string())),
-        ("cells", campaign_cells_to_json(&specs)),
-    ])
-    .render();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let line = campaign_line(&specs);
 
     let scratch = Scratch::new("daemon");
     let work_dir = scratch.path("work");
     let mut daemon = Daemon::spawn(&["--work-dir", work_dir.to_str().unwrap()]);
     let first = daemon.request(&line);
-    assert_eq!(first.field("status").unwrap().as_str().unwrap(), "ok");
-    assert_eq!(cell_delta(&first, "misses"), specs.len());
+    assert_eq!(
+        campaign_result(&first),
+        reference,
+        "the daemon's result is bit-identical to Runner::execute"
+    );
+    assert_eq!(cache_delta(&first, "cells", "misses"), specs.len());
 
     let second = daemon.request(&line);
     assert_eq!(second.field("status").unwrap().as_str().unwrap(), "ok");
@@ -217,8 +234,8 @@ fn a_resident_daemon_serves_the_second_request_from_its_warm_cache() {
         second.field("result").unwrap(),
         "cached responses stay bit-identical"
     );
-    assert_eq!(cell_delta(&second, "hits"), specs.len());
-    assert_eq!(cell_delta(&second, "misses"), 0);
+    assert_eq!(cache_delta(&second, "cells", "hits"), specs.len());
+    assert_eq!(cache_delta(&second, "cells", "misses"), 0);
 
     // Malformed input mid-session: a structured error, and the daemon lives.
     let error = daemon.request("{oops");
@@ -226,6 +243,76 @@ fn a_resident_daemon_serves_the_second_request_from_its_warm_cache() {
     let pong = daemon.request(r#"{"id":3,"kind":"ping"}"#);
     assert_eq!(pong.field("status").unwrap().as_str().unwrap(), "ok");
     daemon.shutdown();
+}
+
+#[test]
+fn a_daemon_sweep_retries_an_injected_shard_failure_and_merges_bit_identical() {
+    // The `sweep` kind's `shards`, `max_attempts` and `fail_first_attempt`
+    // fields, decoded by a live daemon that spawns real workers: shard 0's
+    // first attempt aborts after one cell, and the retry runs clean.
+    let specs = campaign_specs();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let line = Json::obj([
+        ("id", Json::Num(1.0)),
+        ("kind", Json::Str("sweep".to_string())),
+        ("cells", Json::Str("campaign".to_string())),
+        ("entries", campaign_cells_to_json(&specs)),
+        ("shards", Json::Num(2.0)),
+        ("max_attempts", Json::Num(3.0)),
+        (
+            "fail_first_attempt",
+            Json::Arr(vec![Json::obj([
+                ("shard", Json::Num(0.0)),
+                ("after_cells", Json::Num(1.0)),
+            ])]),
+        ),
+    ])
+    .render();
+
+    let scratch = Scratch::new("daemon-sweep");
+    let work_dir = scratch.path("work");
+    let mut daemon = Daemon::spawn(&["--worker", WORKER, "--work-dir", work_dir.to_str().unwrap()]);
+    let response = daemon.request(&line);
+    assert_eq!(
+        response.field("status").unwrap().as_str().unwrap(),
+        "ok",
+        "{response:?}"
+    );
+    let result = response.field("result").unwrap();
+    let merged = MergedReport::from_json(&result.field("merged").unwrap().render()).unwrap();
+    assert_eq!(merged.campaign(), Some(&reference));
+    assert_eq!(result.field("retries").unwrap().as_usize().unwrap(), 1);
+    daemon.shutdown();
+}
+
+#[test]
+fn a_daemon_restarted_on_its_published_cache_file_hits_schedules_at_once() {
+    let specs = campaign_specs();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let line = campaign_line(&specs);
+
+    let scratch = Scratch::new("daemon-restart");
+    let cache = scratch.path("schedules.json");
+    let work_dir = scratch.path("work");
+    let args = [
+        "--cache",
+        cache.to_str().unwrap(),
+        "--work-dir",
+        work_dir.to_str().unwrap(),
+    ];
+    let mut first = Daemon::spawn(&args);
+    assert_eq!(campaign_result(&first.request(&line)), reference);
+    // A clean shutdown publishes the warm schedule cache to the file.
+    first.shutdown();
+
+    // The restarted daemon loads the file at startup, so its very first
+    // request finds every schedule there.
+    let mut restarted = Daemon::spawn(&args);
+    let response = restarted.request(&line);
+    assert_eq!(campaign_result(&response), reference);
+    assert!(cache_delta(&response, "schedules", "hits") > 0);
+    assert_eq!(cache_delta(&response, "schedules", "misses"), 0);
+    restarted.shutdown();
 }
 
 #[test]

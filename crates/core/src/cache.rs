@@ -679,7 +679,7 @@ fn request_from_json(value: &Json) -> Result<CollectiveRequest, ScheduleError> {
         .ok_or_else(|| ScheduleError::Serialization {
             reason: format!("unknown collective `{label}`"),
         })?;
-    let size = DataSize::from_bytes(value.field("size_bytes")?.as_f64()? as u64);
+    let size = DataSize::from_bytes(value.field("size_bytes")?.as_u64()?);
     Ok(CollectiveRequest::new(kind, size))
 }
 

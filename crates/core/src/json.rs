@@ -120,13 +120,24 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
+    /// The value as a non-negative integer no larger than 2^53, the largest
+    /// integer up to which an `f64` holds every integer exactly. Negative,
+    /// fractional and larger values are refused, not rounded or saturated.
+    pub fn as_u64(&self) -> Result<u64, JsonError> {
+        const MAX_EXACT: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
         let n = self.as_f64()?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(JsonError::new(format!("expected an integer, got {n}")));
+        if n < 0.0 || n.fract() != 0.0 || n > MAX_EXACT {
+            return Err(JsonError::new(format!(
+                "expected an integer between 0 and 2^53, got {n}"
+            )));
         }
-        Ok(n as usize)
+        Ok(n as u64)
+    }
+
+    /// The value as a non-negative integer, bounded as [`Json::as_u64`].
+    pub fn as_usize(&self) -> Result<usize, JsonError> {
+        let n = self.as_u64()?;
+        usize::try_from(n).map_err(|_| JsonError::new(format!("integer {n} overflows usize")))
     }
 
     /// The value as a boolean.
@@ -552,6 +563,21 @@ mod tests {
     fn accessors_report_type_mismatches() {
         let value = Json::parse("{\"n\": 1.5, \"s\": \"x\"}").unwrap();
         assert!(value.field("n").unwrap().as_usize().is_err());
+        // Integers are exact up to 2^53; anything past it, negative or
+        // fractional is refused with the value named, never rounded.
+        let exact = Json::Num(9_007_199_254_740_992.0);
+        assert_eq!(exact.as_u64().unwrap(), 1 << 53);
+        assert_eq!(exact.as_usize().unwrap(), 1 << 53);
+        for (bad, shown) in [
+            (Json::Num(9_007_199_254_740_994.0), "9007199254740994"),
+            (Json::Num(1e20), "100000000000000000000"),
+            (Json::Num(-1.0), "-1"),
+            (Json::Num(16_777_216.5), "16777216.5"),
+        ] {
+            for err in [bad.as_u64().unwrap_err(), bad.as_usize().unwrap_err()] {
+                assert!(err.reason.contains(shown), "{}", err.reason);
+            }
+        }
         assert!(value.field("s").unwrap().as_f64().is_err());
         assert!(value.field("missing").is_err());
         assert!(value.get("s").unwrap().as_str().is_ok());

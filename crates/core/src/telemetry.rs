@@ -22,8 +22,9 @@
 //! * Telemetry never feeds back into simulation results: reports are
 //!   bit-identical with the registry enabled, disabled, or absent.
 //! * [`Registry::set_enabled`] turns span timing and engine flushes into
-//!   no-ops so the telemetry-on vs telemetry-off overhead stays measurable
-//!   (and gated) in `bench-sim`.
+//!   no-ops so the telemetry-on vs telemetry-off overhead stays measurable:
+//!   the repository benchmark's traced runs report it as
+//!   `telemetry.overhead_pct`.
 //!
 //! ```
 //! use themis_core::telemetry::Registry;

@@ -35,6 +35,13 @@ pub enum NetError {
     },
     /// A topology was built without any dimensions.
     EmptyTopology,
+    /// The product of the dimension sizes, the NPU count, overflows `usize`.
+    /// Every dimension has at least two NPUs, so this caps a 64-bit topology
+    /// at 63 dimensions.
+    TooManyNpus {
+        /// The number of dimensions declared.
+        num_dims: usize,
+    },
     /// A dimension index was out of range for the topology.
     DimensionOutOfRange {
         /// The requested dimension index.
@@ -90,6 +97,11 @@ impl fmt::Display for NetError {
                 None => write!(f, "at least one link per NPU is required"),
             },
             NetError::EmptyTopology => write!(f, "a topology requires at least one dimension"),
+            NetError::TooManyNpus { num_dims } => write!(
+                f,
+                "the NPU count of a {num_dims}-dimension topology overflows a {}-bit integer",
+                usize::BITS
+            ),
             NetError::DimensionOutOfRange { dim, num_dims } => {
                 write!(
                     f,
@@ -143,6 +155,7 @@ mod tests {
             NetError::InvalidLinkCount { dim: Some(0) },
             NetError::InvalidLinkCount { dim: None },
             NetError::EmptyTopology,
+            NetError::TooManyNpus { num_dims: 64 },
             NetError::DimensionOutOfRange {
                 dim: 4,
                 num_dims: 2,

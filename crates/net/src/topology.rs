@@ -86,7 +86,8 @@ impl NetworkTopology {
         self.dims.len()
     }
 
-    /// Total number of NPUs (product of per-dimension sizes).
+    /// Total number of NPUs (product of per-dimension sizes). Building the
+    /// topology checked that the product fits in `usize`.
     pub fn num_npus(&self) -> usize {
         self.dims.iter().map(DimensionSpec::size).product()
     }
@@ -488,14 +489,24 @@ impl NetworkTopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::EmptyTopology`] when no dimension was added, or a
-    /// per-dimension validation error (with the dimension index attached).
+    /// Returns [`NetError::EmptyTopology`] when no dimension was added, a
+    /// per-dimension validation error (with the dimension index attached),
+    /// or [`NetError::TooManyNpus`] when the NPU count overflows `usize`.
     pub fn build(self) -> Result<NetworkTopology, NetError> {
         if self.dims.is_empty() {
             return Err(NetError::EmptyTopology);
         }
         for (i, dim) in self.dims.iter().enumerate() {
             dim.validate_at(i)?;
+        }
+        let npus = self
+            .dims
+            .iter()
+            .try_fold(1usize, |npus, dim| npus.checked_mul(dim.size()));
+        if npus.is_none() {
+            return Err(NetError::TooManyNpus {
+                num_dims: self.dims.len(),
+            });
         }
         Ok(NetworkTopology {
             name: self.name,
@@ -533,6 +544,26 @@ mod tests {
     fn empty_topology_rejected() {
         let err = NetworkTopology::builder("empty").build().unwrap_err();
         assert_eq!(err, NetError::EmptyTopology);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn npu_count_overflow_rejected() {
+        let pairs = |num_dims: usize| {
+            let dim = DimensionSpec::new(TopologyKind::Ring, 2, 100.0, 1, 10.0).unwrap();
+            (0..num_dims)
+                .fold(NetworkTopology::builder("pairs"), |builder, _| {
+                    builder.dimension(dim.clone())
+                })
+                .build()
+        };
+        let widest = pairs(63).unwrap();
+        assert_eq!(widest.num_dims(), 63);
+        assert_eq!(widest.num_npus(), 1 << 63);
+        assert_eq!(
+            pairs(64).unwrap_err(),
+            NetError::TooManyNpus { num_dims: 64 }
+        );
     }
 
     #[test]

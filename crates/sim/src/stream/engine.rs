@@ -494,12 +494,6 @@ struct LoopRun {
 }
 
 impl Engine<'_> {
-    /// The reference loop runs on request, and past the 64 dimensions the
-    /// fast loop can key by bit position in `u64` masks.
-    fn use_reference(&self) -> bool {
-        self.options.reference_engine || self.topo.num_dims() > 64
-    }
-
     /// Runs one collective in the single-run frame: t = 0 is the origin and
     /// `total_time_ns` is the finish time, even when no op can start at
     /// t = 0. `shared` are the plan-cache `Arc`s the schedule and table came
@@ -517,7 +511,7 @@ impl Engine<'_> {
             .options
             .record_op_log
             .then(|| LabelInterner::for_dims(self.topo.num_dims()));
-        if self.use_reference() {
+        if self.options.reference_engine {
             let mut run =
                 self.run_reference(&[schedule], &[table], &[0.0], timelines, false, workspace)?;
             let state = run.colls.pop().expect("the one collective ran");
@@ -561,7 +555,7 @@ impl Engine<'_> {
         plan_cache: Option<&CostTableCache>,
     ) -> Result<LoopRun, SimError> {
         let timelines = self.compile_faults(schedules, plan_cache)?;
-        if self.use_reference() {
+        if self.options.reference_engine {
             self.run_reference(schedules, tables, issue_ns, timelines, true, workspace)
         } else {
             let memo = timelines.is_none().then_some((schedules, tables));
@@ -678,6 +672,8 @@ impl Engine<'_> {
         T: Borrow<CostTable>,
     {
         let num_dims = self.topo.num_dims();
+        // A topology's NPU count fits in `usize`, so it has at most 63
+        // dimensions: every dimension fits a bit of a `u64` mask.
         debug_assert!(num_dims <= 64, "masked loop requires <= 64 dimensions");
         let num_colls = schedules.len();
         debug_assert!(MULTI || num_colls == 1, "one collective per single run");
@@ -1122,11 +1118,10 @@ impl Engine<'_> {
     }
 
     /// The original heap-backed merged loop, kept as the reference
-    /// implementation behind [`SimOptions::reference_engine`] (and the
-    /// fallback past 64 dimensions). [`Engine::run_fast`] must stay
-    /// bit-identical to it — the `differential` and `engine_equivalence`
-    /// suites enforce it. `multi` only picks the telemetry histogram the
-    /// run flushes into.
+    /// implementation behind [`SimOptions::reference_engine`].
+    /// [`Engine::run_fast`] must stay bit-identical to it — the
+    /// `differential` and `engine_equivalence` suites enforce it. `multi`
+    /// only picks the telemetry histogram the run flushes into.
     #[allow(clippy::too_many_lines)]
     #[inline(never)]
     fn run_reference<S, T>(

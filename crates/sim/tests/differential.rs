@@ -10,7 +10,10 @@
 //! job raises the budget through `THEMIS_DIFF_CELLS`.
 
 use themis_collectives::CollectiveKind;
-use themis_core::{BaselineScheduler, CollectiveRequest, CollectiveScheduler, ThemisScheduler};
+use themis_core::{
+    BaselineScheduler, CollectiveRequest, CollectiveSchedule, CollectiveScheduler, IdealEstimator,
+    ThemisScheduler,
+};
 use themis_net::{DataSize, DimensionSpec, NetworkTopology, TopologyKind};
 use themis_sim::{
     DimReport, FaultPlan, PipelineSimulator, SimError, SimOptions, SimReport, StreamEntry,
@@ -220,10 +223,42 @@ fn run_pipeline_cell(
         return false;
     };
     let fast = PipelineSimulator::new(topo, options.clone()).run(&schedule);
+    if let Ok(report) = &fast {
+        assert_analytic_bounds(cell, report, &request, &schedule, topo);
+    }
     let reference =
         PipelineSimulator::new(topo, options.clone().with_reference_engine(true)).run(&schedule);
     assert_same_sim(cell, fast, reference);
     true
+}
+
+/// Oracles that share none of the event loops' logic: every chunk runs each
+/// of its stages exactly once, and no All-Reduce beats the Ideal bound
+/// (size / total bandwidth). The bound is an All-Reduce volume, so
+/// Reduce-Scatter and All-to-All may legitimately finish below it.
+fn assert_analytic_bounds(
+    cell: &str,
+    report: &SimReport,
+    request: &CollectiveRequest,
+    schedule: &CollectiveSchedule,
+    topo: &NetworkTopology,
+) {
+    let ops: usize = report.dims.iter().map(|dim| dim.ops_executed).sum();
+    assert_eq!(
+        ops,
+        schedule.chunks().len() * request.kind().num_stages(topo.num_dims()),
+        "{cell}: ops executed != chunks x stages"
+    );
+    if request.kind() == CollectiveKind::AllReduce {
+        let ideal_ns = IdealEstimator::new()
+            .communication_time_ns(request, topo)
+            .expect("drawn collectives are non-empty");
+        assert!(
+            report.total_time_ns >= ideal_ns,
+            "{cell}: All-Reduce took {} ns, below the Ideal bound of {ideal_ns} ns",
+            report.total_time_ns
+        );
+    }
 }
 
 /// One drawn stream cell: the queued entries, the scheduler to build for

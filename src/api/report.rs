@@ -264,7 +264,7 @@ fn config_from_json(value: &Json) -> Result<RunConfig, ThemisError> {
         topology: value.field("topology")?.as_str()?.to_string(),
         scheduler: scheduler_from_label(value.field("scheduler")?.as_str()?)?,
         collective: collective_from_label(value.field("collective")?.as_str()?)?,
-        size: DataSize::from_bytes(value.field("size_bytes")?.as_f64()? as u64),
+        size: DataSize::from_bytes(value.field("size_bytes")?.as_u64()?),
         chunks: value.field("chunks")?.as_usize()?,
     })
 }

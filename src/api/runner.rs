@@ -481,15 +481,19 @@ mod tests {
         assert_eq!(warm, Runner::sequential().execute(&specs).unwrap());
         let schedules = plan.schedules();
         assert_eq!((schedules.hits(), schedules.misses()), (0, 3));
-        // The two Themis variants share one cost table.
+        // The two Themis variants share one cost table. Both workers may
+        // build it when they race on the key (the first insert wins), so the
+        // first run counts 2 or 3 misses.
         assert_eq!(plan.cost_tables().len(), 2);
+        let built = plan.cost_tables().misses();
+        assert!((2..=3).contains(&built), "{built} cost-table misses");
         // A second execution over the same plan is served entirely from it.
         let again = Runner::sequential()
             .execute_with_cache(&specs, &plan)
             .unwrap();
         assert_eq!(again, warm);
         assert_eq!((schedules.hits(), schedules.misses()), (3, 3));
-        assert_eq!(plan.cost_tables().misses(), 2);
+        assert_eq!(plan.cost_tables().misses(), built);
     }
 
     #[test]

@@ -735,8 +735,8 @@ impl ShardReport {
             shard_index: value.field("shard_index")?.as_usize()?,
             shard_count: value.field("shard_count")?.as_usize()?,
             cache: CacheStats {
-                hits: cache.field("hits")?.as_usize()? as u64,
-                misses: cache.field("misses")?.as_usize()? as u64,
+                hits: cache.field("hits")?.as_u64()?,
+                misses: cache.field("misses")?.as_u64()?,
             },
             results,
         })
@@ -860,8 +860,8 @@ impl MergedReport {
         let cache = value.field("cache")?;
         Ok(MergedReport {
             cache: CacheStats {
-                hits: cache.field("hits")?.as_usize()? as u64,
-                misses: cache.field("misses")?.as_usize()? as u64,
+                hits: cache.field("hits")?.as_u64()?,
+                misses: cache.field("misses")?.as_u64()?,
             },
             results,
         })
@@ -1127,7 +1127,7 @@ pub(crate) fn job_to_json(job: &Job) -> Json {
 pub(crate) fn job_from_json(value: &Json) -> Result<Job, ThemisError> {
     Ok(Job::new(
         collective_from_label(value.field("collective")?.as_str()?)?,
-        DataSize::from_bytes(value.field("size_bytes")?.as_f64()? as u64),
+        DataSize::from_bytes(value.field("size_bytes")?.as_u64()?),
     )
     .chunks(value.field("chunks")?.as_usize()?)
     .scheduler(scheduler_from_label(value.field("scheduler")?.as_str()?)?))
@@ -1167,7 +1167,7 @@ pub(crate) fn stream_job_from_json(value: &Json) -> Result<StreamJob, ThemisErro
             QueuedCollective::new(
                 entry.field("label")?.as_str()?,
                 collective_from_label(entry.field("collective")?.as_str()?)?,
-                DataSize::from_bytes(entry.field("size_bytes")?.as_f64()? as u64),
+                DataSize::from_bytes(entry.field("size_bytes")?.as_u64()?),
             )
             .issued_at(entry.field("issue_ns")?.as_f64()?),
         );

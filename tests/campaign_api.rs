@@ -36,12 +36,14 @@ fn campaign_expansion_counts_match_the_declared_axes() {
 fn parallel_and_sequential_runners_produce_identical_reports() {
     let campaign = small_campaign();
     let sequential = campaign.run(&Runner::sequential()).unwrap();
-    let parallel = campaign.run(&Runner::parallel_threads(4)).unwrap();
     assert_eq!(sequential.len(), 2 * 2 * 3); // platforms x sizes x schedulers
-                                             // Bit-identical, including matrix order and every float in every report.
-    assert_eq!(sequential, parallel);
-    for (seq, par) in sequential.iter().zip(parallel.iter()) {
-        assert_eq!(seq.total_time_ns().to_bits(), par.total_time_ns().to_bits());
+    for threads in [1, 2, 4, 8] {
+        let parallel = campaign.run(&Runner::parallel_threads(threads)).unwrap();
+        // Bit-identical, including matrix order and every float in every report.
+        assert_eq!(sequential, parallel, "parallel_threads({threads})");
+        for (seq, par) in sequential.iter().zip(parallel.iter()) {
+            assert_eq!(seq.total_time_ns().to_bits(), par.total_time_ns().to_bits());
+        }
     }
 }
 
@@ -96,6 +98,14 @@ fn cached_and_uncached_campaigns_are_bit_identical_across_all_presets() {
     // The sequential backend agrees too (cache shared by one worker only).
     let sequential_cached = campaign.run(&Runner::sequential()).unwrap();
     assert_eq!(sequential_cached, cached);
+    // So does the reference event loop, uncached with the op log on: the
+    // oracle of the differential suites, run end to end through the facade.
+    let reference = campaign
+        .clone()
+        .sim_options(SimOptions::default().with_reference_engine(true))
+        .run(&Runner::parallel_threads(4).with_schedule_cache(false))
+        .unwrap();
+    assert_eq!(reference, cached);
 }
 
 #[test]

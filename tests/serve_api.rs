@@ -89,6 +89,23 @@ fn malformed_requests_get_structured_errors_not_crashes() {
             "error responses carry a reason"
         );
     }
+    // `size_bytes` must be an exact integer: a fractional, an overflowing
+    // and a negative size are refused, not rounded, saturated or misreported.
+    let cells = campaign_cells_to_json(&campaign_specs()[..1]);
+    for (id, size) in [(8, "16777216.5"), (9, "1e30"), (10, "-1")] {
+        let line = request(id, "campaign", vec![("cells", cells.clone())]).replace(
+            "\"size_bytes\":16777216,",
+            &format!("\"size_bytes\":{size},"),
+        );
+        assert!(line.contains(size), "{line}");
+        let response = Json::parse(&service.handle_line(&line)).unwrap();
+        assert_eq!(
+            response.field("status").unwrap().as_str().unwrap(),
+            "error",
+            "size_bytes {size} should be refused"
+        );
+        assert_eq!(response.field("id").unwrap().as_usize().unwrap(), id);
+    }
     // The service keeps serving after every one of them.
     let pong = parse_ok(&service.handle_line(&request(7, "ping", vec![])));
     assert!(pong
