@@ -89,9 +89,10 @@ usage: shard-worker <plan|run|merge|cache-merge> [options]
         [--out-dir DIR]
           Expand the campaign, partition it and write DIR/shard-NN.json.
 
-  run   SPEC.json --out PART.json [--cache CACHE.json] [--threads N]
+  run   SPEC.json --out PART.json [--cache CACHE.json]
         [--progress FILE] [--fail-after N]
-          Execute one shard spec; write its partial report. With --cache the
+          Execute one shard spec, one cell at a time (a shard is the unit
+          of parallelism); write its partial report. With --cache the
           worker warm-starts from the cache file (if present) and
           merge-publishes back into it afterwards (concurrent workers lose
           no entries). --progress writes a JSON heartbeat (done, total,
@@ -209,12 +210,6 @@ fn run(args: &[String]) -> Result<(), CmdError> {
         ),
         None => None,
     };
-    let threads: usize = match take_flag(&mut args, "--threads")? {
-        Some(text) => text
-            .parse()
-            .map_err(|_| "invalid --threads value".to_string())?,
-        None => 1,
-    };
     let [spec_path] = args.as_slice() else {
         return Err(CmdError::Usage(
             "`run` needs exactly one spec file".to_string(),
@@ -245,11 +240,6 @@ fn run(args: &[String]) -> Result<(), CmdError> {
     // half of the plan round-trips through the cache file.
     let plan = SimPlanCache::with_schedules(cache);
 
-    let runner = if threads > 1 {
-        Runner::parallel_threads(threads)
-    } else {
-        Runner::sequential()
-    };
     // The heartbeat hook: structured progress events on stderr, a JSON
     // heartbeat file (progress + this process's telemetry snapshot) for the
     // orchestrator's stall watchdog and cells/sec summary, and the
@@ -284,7 +274,7 @@ fn run(args: &[String]) -> Result<(), CmdError> {
         }
     };
     let report = spec
-        .execute_with_cache_observed(&runner, &plan, observe)
+        .execute_with_cache_observed(&plan, observe)
         .map_err(|err| CmdError::Shard(err.to_string()))?;
     // Sealed + atomic: a worker killed mid-write can never leave a torn
     // partial that a resume or merge would silently adopt.

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! themis-serve [--socket PATH] [--cache FILE] [--worker PATH]
-//!              [--work-dir DIR] [--max-cells N] [--worker-threads N]
+//!              [--work-dir DIR] [--max-cells N]
 //!              [--max-line-bytes N] [--max-in-flight N] [--deadline-ms MS]
 //! ```
 //!
@@ -100,7 +100,7 @@ mod sigterm {
 
 const USAGE: &str = "\
 usage: themis-serve [--socket PATH] [--cache FILE] [--worker PATH]
-                    [--work-dir DIR] [--max-cells N] [--worker-threads N]
+                    [--work-dir DIR] [--max-cells N]
                     [--max-line-bytes N] [--max-in-flight N] [--deadline-ms MS]
 
 Serve JSONL campaign requests (one JSON object per line) against one
@@ -142,13 +142,6 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         ),
         None => None,
     };
-    let worker_threads: Option<usize> = match take_flag(&mut args, "--worker-threads")? {
-        Some(text) => Some(
-            text.parse()
-                .map_err(|_| "invalid --worker-threads value".to_string())?,
-        ),
-        None => None,
-    };
     let max_line_bytes: Option<usize> = match take_flag(&mut args, "--max-line-bytes")? {
         Some(text) => match text.parse() {
             Ok(bytes) if bytes > 0 => Some(bytes),
@@ -184,9 +177,6 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     }
     if let Some(cells) = max_cells {
         options.max_resident_cells = cells;
-    }
-    if let Some(threads) = worker_threads {
-        options.worker_threads = threads;
     }
     if let Some(bytes) = max_line_bytes {
         options.max_line_bytes = bytes;

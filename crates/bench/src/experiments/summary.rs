@@ -155,4 +155,41 @@ mod tests {
             assert!(max >= avg);
         }
     }
+
+    #[test]
+    fn headline_numbers_are_pinned() {
+        // The full sweep behind the abstract's numbers, pinned to the
+        // reproduction's values: a change to the campaign Runner or the
+        // training-iteration path that moves a headline fails here.
+        let headline = compute_with(&super::super::microbenchmark_sizes(), &Workload::all());
+        let near = |measured: f64, pinned: f64, tolerance: f64| {
+            assert!(
+                (measured - pinned).abs() <= tolerance,
+                "measured {measured}, pinned {pinned} ± {tolerance}"
+            );
+        };
+        near(headline.allreduce_speedup_mean, 1.7985, 0.005);
+        near(headline.allreduce_speedup_max, 2.7706, 0.005);
+        for (measured, pinned) in headline
+            .mean_utilization
+            .iter()
+            .zip([0.5660, 0.8810, 0.9757])
+        {
+            near(*measured, pinned, 0.001);
+        }
+        let pinned = [
+            (Workload::ResNet152, 1.1297, 1.3317),
+            (Workload::Gnmt, 1.0969, 1.2517),
+            (Workload::Dlrm, 1.3951, 2.0124),
+            (Workload::Transformer1T, 1.1539, 1.3344),
+        ];
+        assert_eq!(headline.training_speedups.len(), pinned.len());
+        for (&(workload, avg, max), (expected, pinned_avg, pinned_max)) in
+            headline.training_speedups.iter().zip(pinned)
+        {
+            assert_eq!(workload, expected);
+            near(avg, pinned_avg, 0.005);
+            near(max, pinned_max, 0.005);
+        }
+    }
 }

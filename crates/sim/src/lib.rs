@@ -19,15 +19,22 @@
 //! * [`PipelineSimulator`] — executes one collective schedule and produces a
 //!   [`SimReport`] (completion time, per-dimension busy time and wire bytes,
 //!   the paper's weighted average BW utilisation, and the frontend-activity
-//!   timeline of Fig. 9).
-//! * [`CollectiveExecutor`] — convenience wrapper that schedules *and*
-//!   simulates a collective with a given scheduler.
+//!   timeline of Fig. 9). `run_kind` schedules *and* simulates one of the
+//!   Table 3 configurations.
 //! * [`stream`] — the streaming multi-collective queue engine: executes a
 //!   queue of collectives with event-driven admission and per-dimension
 //!   in-flight overlap (chunks of collective *k+1* start on dimensions
-//!   collective *k* has vacated).
-//! * [`timeline`] — sequential execution of several collectives (used by the
-//!   training-loop model); a thin back-to-back policy over the stream engine.
+//!   collective *k* has vacated), or one after another, each collective
+//!   alone, when [`SimOptions::cross_collective_overlap`] is off (the
+//!   sequential timeline policy).
+//!
+//! Each has exactly two entry paths. The plain path (`run`, and
+//! `PipelineSimulator::run_kind`) schedules and prices everything afresh:
+//! it is the cache-free reference. The planned path
+//! (`PipelineSimulator::run_planned` / `run_kind_planned`,
+//! `StreamSimulator::run_planned_cached`) takes schedules and cost tables
+//! served by a [`themis_core::SimPlanCache`] and a reusable
+//! [`SimWorkspace`]; it is bit-identical to the plain path.
 //!
 //! Every simulation runs through one data-oriented event loop in
 //! [`stream::engine`]: a single collective is the one-entry, issued-at-zero
@@ -57,7 +64,6 @@
 
 pub mod cancel;
 pub mod error;
-pub mod executor;
 pub mod faults;
 pub mod options;
 pub mod pipeline;
@@ -65,18 +71,15 @@ pub(crate) mod readyq;
 pub(crate) mod soa;
 pub mod stats;
 pub mod stream;
-pub mod timeline;
 pub mod trace;
 pub mod workspace;
 
 pub use cancel::CancelToken;
 pub use error::SimError;
-pub use executor::CollectiveExecutor;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 pub use options::SimOptions;
 pub use pipeline::PipelineSimulator;
 pub use stats::{DimReport, SimReport};
 pub use stream::{CollectiveSpan, StreamEntry, StreamReport, StreamSimulator};
-pub use timeline::{TimelineEntry, TimelineReport, TimelineSimulator};
 pub use trace::{sim_report_trace, stream_report_trace};
 pub use workspace::SimWorkspace;

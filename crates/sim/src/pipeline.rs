@@ -23,7 +23,10 @@ use crate::workspace::SimWorkspace;
 use std::sync::Arc;
 use themis_collectives::CostModel;
 use themis_core::plan::{CostTable, CostTableCache};
-use themis_core::{CollectiveSchedule, IntraDimPolicy};
+use themis_core::{
+    CollectiveRequest, CollectiveSchedule, IntraDimPolicy, ScheduleError, SchedulerKind,
+    SimPlanCache,
+};
 use themis_net::NetworkTopology;
 
 /// Simulates the execution of collective schedules on a fixed topology.
@@ -42,14 +45,6 @@ impl<'a> PipelineSimulator<'a> {
             options,
             cost: CostModel::new(),
         }
-    }
-
-    /// Replaces the cost model (e.g. to simulate in-network collective
-    /// offload, Sec. 4.5).
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// The topology this simulator executes on.
@@ -75,63 +70,25 @@ impl<'a> PipelineSimulator<'a> {
     /// simulation fails to make progress.
     pub fn run(&self, schedule: &CollectiveSchedule) -> Result<SimReport, SimError> {
         let table = CostTable::build(self.topo, &self.cost, schedule)?;
-        self.run_prepared(schedule, &table, &mut SimWorkspace::new())
+        self.run_inner(schedule, &table, &mut SimWorkspace::new(), None, None)
     }
 
-    /// Executes `schedule` against a pre-computed [`CostTable`] using the
-    /// caller's [`SimWorkspace`] scratch — the campaign fast path: the cost
-    /// model is not re-evaluated and the event-loop state reuses the
-    /// workspace's allocations. Bit-identical to [`PipelineSimulator::run`]
-    /// when `table` was built for this `(schedule, topology, cost model)`
-    /// triple.
+    /// Executes `schedule` against the shared [`Arc`]s a [`SimPlanCache`]
+    /// serves: a pre-computed [`CostTable`]
+    /// (the cost model is not re-evaluated), the caller's [`SimWorkspace`]
+    /// scratch, and `plan_cache` for any fault-epoch cost tables
+    /// ([`SimOptions::faults`]), so repeated cells price each fault epoch
+    /// once. The `Arc` identities let the workspace memoise the run's flat
+    /// op arrays, so a repeated cell skips that build entirely.
+    /// Bit-identical to [`PipelineSimulator::run`] when `table` was built for
+    /// this `(schedule, topology, cost model)` triple: table and matrix
+    /// construction are deterministic, cached or not.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if the options or schedule are invalid, the
-    /// table's shape does not match the schedule, or the simulation fails to
-    /// make progress.
-    pub fn run_prepared(
-        &self,
-        schedule: &CollectiveSchedule,
-        table: &CostTable,
-        workspace: &mut SimWorkspace,
-    ) -> Result<SimReport, SimError> {
-        self.run_prepared_cached(schedule, table, workspace, None)
-    }
-
-    /// Like [`PipelineSimulator::run_prepared`], but building any fault-epoch
-    /// cost tables ([`SimOptions::faults`]) through the caller's shared
-    /// [`CostTableCache`], so repeated cells of a campaign price each fault
-    /// epoch once. With an empty fault plan the cache is never consulted and
-    /// results are bit-identical to [`PipelineSimulator::run_prepared`]
-    /// (which in turn builds epoch tables uncached — also bit-identical,
-    /// cost-table construction being deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PipelineSimulator::run_prepared`], plus
-    /// [`SimError::InvalidOptions`] for a malformed fault plan.
-    pub fn run_prepared_cached(
-        &self,
-        schedule: &CollectiveSchedule,
-        table: &CostTable,
-        workspace: &mut SimWorkspace,
-        plan_cache: Option<&CostTableCache>,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(schedule, table, workspace, plan_cache, None)
-    }
-
-    /// Like [`PipelineSimulator::run_prepared_cached`], but taking the
-    /// schedule and cost table as the shared [`Arc`]s a warm
-    /// [`themis_core::SimPlanCache`] serves. The `Arc` identities let the
-    /// workspace memoise the run's flat op arrays (the fast loop's
-    /// structure-of-arrays setup), so a repeated cell skips that build
-    /// entirely. Bit-identical to [`PipelineSimulator::run_prepared_cached`]
-    /// — matrix construction is deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PipelineSimulator::run_prepared_cached`].
+    /// Returns a [`SimError`] if the options, the fault plan or the schedule
+    /// are invalid, the table's shape does not match the schedule, or the
+    /// simulation fails to make progress.
     pub fn run_planned(
         &self,
         schedule: &Arc<CollectiveSchedule>,
@@ -146,6 +103,72 @@ impl<'a> PipelineSimulator<'a> {
             plan_cache,
             Some((schedule, table)),
         )
+    }
+
+    /// Schedules `request` under one of the Table 3 scheduler configurations
+    /// with `chunks` chunks and simulates the schedule: the plain path every
+    /// cached path is compared against.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::ZeroChunks`] for a zero chunk count, and
+    /// propagates scheduling and simulation errors.
+    pub fn run_kind(
+        &self,
+        kind: SchedulerKind,
+        chunks: usize,
+        request: &CollectiveRequest,
+    ) -> Result<SimReport, SimError> {
+        // `SchedulerKind::build` uses the infallible constructors, which
+        // panic on a zero chunk count.
+        if chunks == 0 {
+            return Err(ScheduleError::ZeroChunks.into());
+        }
+        // Faults active at t = 0 are static asymmetry the scheduler sees
+        // (see `FaultPlan::initial_topology`); later events stay invisible.
+        let initial = self.options.faults.initial_topology(self.topo)?;
+        let schedule = kind
+            .build(chunks)
+            .schedule(request, initial.as_ref().unwrap_or(self.topo))?;
+        self.run(&schedule)
+    }
+
+    /// Like [`PipelineSimulator::run_kind`], but served through a shared
+    /// [`SimPlanCache`]: the schedule, the per-op cost table and any
+    /// fault-epoch cost tables come from the plan when warm, and the
+    /// event-loop state from the caller's reusable [`SimWorkspace`]. The
+    /// schedule and cost-table lookups are timed as the workspace's
+    /// `phase.schedule_ns` and `phase.cost_precompute_ns` spans.
+    /// Bit-identical to [`PipelineSimulator::run_kind`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`PipelineSimulator::run_kind`] (the plan's
+    /// [`themis_core::ScheduleCache`] refuses a zero chunk count).
+    pub fn run_kind_planned(
+        &self,
+        kind: SchedulerKind,
+        chunks: usize,
+        request: &CollectiveRequest,
+        plan: &SimPlanCache,
+        workspace: &mut SimWorkspace,
+    ) -> Result<SimReport, SimError> {
+        let schedule = {
+            let _span = workspace.phase_schedule_span();
+            let initial = self.options.faults.initial_topology(self.topo)?;
+            plan.schedules().get_or_schedule(
+                initial.as_ref().unwrap_or(self.topo),
+                request,
+                chunks,
+                kind,
+            )?
+        };
+        let table = {
+            let _span = workspace.phase_cost_span();
+            plan.cost_tables()
+                .get_or_build(self.topo, &self.cost, &schedule)?
+        };
+        self.run_planned(&schedule, &table, workspace, Some(plan.cost_tables()))
     }
 
     fn run_inner(
@@ -676,5 +699,88 @@ mod tests {
             .unwrap();
         // SCF should never be slower than FIFO by more than noise (Sec. 4.3).
         assert!(scf.total_time_ns <= fifo.total_time_ns * 1.05);
+    }
+
+    #[test]
+    fn run_kind_planned_matches_run_kind_bit_for_bit() {
+        // One plan shared by the three kinds (one chunk split, one cost
+        // table for both Themis variants) must not change a single bit of
+        // any report. The collective is large and bandwidth-bound (as in
+        // Fig. 8), so both Themis variants beat the baseline.
+        let topo = PresetTopology::SwSwSw3dHetero.build();
+        let sim = PipelineSimulator::new(&topo, SimOptions::default());
+        let request = CollectiveRequest::all_reduce_mib(1024.0);
+        let plan = SimPlanCache::new();
+        let mut ws = SimWorkspace::new();
+        let reports: Vec<SimReport> = SchedulerKind::all()
+            .into_iter()
+            .map(|kind| {
+                let planned = sim
+                    .run_kind_planned(kind, 32, &request, &plan, &mut ws)
+                    .unwrap();
+                assert_eq!(planned, sim.run_kind(kind, 32, &request).unwrap(), "{kind}");
+                planned
+            })
+            .collect();
+        let names: Vec<&str> = reports.iter().map(|r| r.scheduler_name.as_str()).collect();
+        assert_eq!(names, ["Baseline", "Themis+FIFO", "Themis+SCF"]);
+        assert!(reports[1].total_time_ns < reports[0].total_time_ns);
+        assert!(reports[2].total_time_ns < reports[0].total_time_ns);
+        // Both paths refuse a zero chunk count instead of panicking.
+        let plain = sim.run_kind(SchedulerKind::Baseline, 0, &request);
+        let planned = sim.run_kind_planned(SchedulerKind::Baseline, 0, &request, &plan, &mut ws);
+        for err in [plain.unwrap_err(), planned.unwrap_err()] {
+            assert_eq!(err, SimError::Schedule(ScheduleError::ZeroChunks));
+        }
+    }
+
+    #[test]
+    fn run_kind_planned_hits_a_warm_plan() {
+        let topo = PresetTopology::Sw2d.build();
+        let sim = PipelineSimulator::new(&topo, SimOptions::default());
+        let request = CollectiveRequest::all_reduce_mib(64.0);
+        let plan = SimPlanCache::new();
+        let mut ws = SimWorkspace::new();
+        let first = sim
+            .run_kind_planned(SchedulerKind::ThemisScf, 8, &request, &plan, &mut ws)
+            .unwrap();
+        let second = sim
+            .run_kind_planned(SchedulerKind::ThemisScf, 8, &request, &plan, &mut ws)
+            .unwrap();
+        assert_eq!(first, second);
+        assert_eq!(plan.schedules().hits(), 1);
+        assert_eq!(plan.cost_tables().hits(), 1);
+    }
+
+    #[test]
+    fn faulted_planned_runs_serve_epoch_tables_from_the_plan() {
+        use crate::faults::FaultPlan;
+        let topo = PresetTopology::Sw2d.build();
+        let faults = FaultPlan::new()
+            .degrade(5_000.0, 0, 0.5)
+            .degrade(20_000.0, 1, 0.25);
+        let sim = PipelineSimulator::new(&topo, SimOptions::default().with_faults(faults));
+        let request = CollectiveRequest::all_reduce_mib(64.0);
+        let plan = SimPlanCache::new();
+        let mut ws = SimWorkspace::new();
+        let first = sim
+            .run_kind_planned(SchedulerKind::ThemisScf, 8, &request, &plan, &mut ws)
+            .unwrap();
+        // The base table plus one table per degraded epoch.
+        assert_eq!(plan.cost_tables().len(), 3);
+        let misses = plan.cost_tables().misses();
+        let second = sim
+            .run_kind_planned(SchedulerKind::ThemisScf, 8, &request, &plan, &mut ws)
+            .unwrap();
+        assert_eq!(first, second);
+        assert_eq!(
+            plan.cost_tables().misses(),
+            misses,
+            "a warm plan must serve every epoch table"
+        );
+        assert_eq!(
+            first,
+            sim.run_kind(SchedulerKind::ThemisScf, 8, &request).unwrap()
+        );
     }
 }

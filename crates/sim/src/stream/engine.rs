@@ -10,11 +10,10 @@
 //!
 //! The loop is one data-oriented function generic over `const MULTI: bool`.
 //! The merged instantiation runs the queue above. The single-collective
-//! instantiation — behind [`crate::PipelineSimulator`], the sequential
-//! stream policy, [`crate::TimelineSimulator`] and
-//! [`crate::CollectiveExecutor`] — compiles out what one collective never
-//! needs: admission, the vacancy tracker, the per-collective segment
-//! accounting and the per-dimension ready-collective lists and counts. The
+//! instantiation — behind [`crate::PipelineSimulator`] and the sequential
+//! stream policy — compiles out what one collective never needs:
+//! admission, the vacancy tracker, the per-collective segment accounting
+//! and the per-dimension ready-collective lists and counts. The
 //! original heap-backed merged loop stays as the differential oracle behind
 //! [`SimOptions::reference_engine`], for single and stream runs alike.
 
@@ -107,20 +106,12 @@ impl<'a> StreamSimulator<'a> {
             schedule.validate(self.topo)?;
             schedules.push(Arc::new(schedule));
         }
-        let tables = self.build_tables(&schedules)?;
-        let mut workspace = SimWorkspace::new();
-        self.dispatch(entries, &order, &schedules, &tables, &mut workspace, None)
-    }
-
-    /// Evaluates the cost model over every (admission-ordered) schedule.
-    fn build_tables(
-        &self,
-        schedules: &[Arc<CollectiveSchedule>],
-    ) -> Result<Vec<Arc<CostTable>>, SimError> {
-        schedules
+        let tables = schedules
             .iter()
             .map(|schedule| Ok(Arc::new(CostTable::build(self.topo, &self.cost, schedule)?)))
-            .collect()
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let mut workspace = SimWorkspace::new();
+        self.dispatch(entries, &order, &schedules, &tables, &mut workspace, None)
     }
 
     /// Runs the policy selected by
@@ -142,66 +133,22 @@ impl<'a> StreamSimulator<'a> {
         }
     }
 
-    /// Like [`StreamSimulator::run`], but executing pre-built schedules —
-    /// `schedules[i]` is the schedule of `entries[i]` — instead of invoking a
-    /// scheduler per queued collective. This is the entry point of the
-    /// schedule-cache fast path: identical queued collectives share one
-    /// [`Arc`]ed schedule and are never re-scheduled.
-    ///
-    /// Schedulers are deterministic, so running cached schedules through this
-    /// method is bit-identical to [`StreamSimulator::run`] with the scheduler
-    /// that produced them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if the schedule list length does not match the
-    /// entry list, a schedule does not fit the topology, or the simulation
-    /// fails to make progress.
-    pub fn run_prescheduled(
-        &self,
-        entries: &[StreamEntry],
-        schedules: &[Arc<CollectiveSchedule>],
-    ) -> Result<StreamReport, SimError> {
-        self.options.validate()?;
-        let (order, ordered) = self.order_schedules(entries, schedules)?;
-        let tables = self.build_tables(&ordered)?;
-        let mut workspace = SimWorkspace::new();
-        self.dispatch(entries, &order, &ordered, &tables, &mut workspace, None)
-    }
-
-    /// Like [`StreamSimulator::run_prescheduled`], but also executing
-    /// pre-computed cost tables — `tables[i]` prices `schedules[i]` — with
-    /// the caller's reusable [`SimWorkspace`]. This is the full plan-cache
-    /// fast path: neither the scheduler nor the cost model runs, and the
-    /// event-loop state reuses the workspace's allocations. Bit-identical to
-    /// [`StreamSimulator::run`] with the scheduler and cost model that
-    /// produced the inputs.
+    /// Like [`StreamSimulator::run`], but executing the shared schedules and
+    /// cost tables a [`themis_core::SimPlanCache`] serves — `schedules[i]`
+    /// is the schedule of `entries[i]` and `tables[i]` prices it — with the
+    /// caller's reusable [`SimWorkspace`], and building any fault-epoch cost
+    /// tables ([`SimOptions::faults`]) through `plan_cache` so repeated cells
+    /// price each fault epoch once. Neither a scheduler nor the cost model
+    /// runs here. Schedulers, the cost model and epoch-table construction are
+    /// deterministic, so this is bit-identical to [`StreamSimulator::run`]
+    /// with the scheduler that produced the schedules.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the schedule or table lists do not match the
-    /// entries, a schedule does not fit the topology, a table does not match
-    /// its schedule, or the simulation fails to make progress.
-    pub fn run_planned(
-        &self,
-        entries: &[StreamEntry],
-        schedules: &[Arc<CollectiveSchedule>],
-        tables: &[Arc<CostTable>],
-        workspace: &mut SimWorkspace,
-    ) -> Result<StreamReport, SimError> {
-        self.run_planned_cached(entries, schedules, tables, workspace, None)
-    }
-
-    /// Like [`StreamSimulator::run_planned`], but building any fault-epoch
-    /// cost tables ([`SimOptions::faults`]) through the caller's shared
-    /// [`CostTableCache`] so repeated cells price each fault epoch once.
-    /// Bit-identical to [`StreamSimulator::run_planned`] (epoch-table
-    /// construction is deterministic, cached or not).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`StreamSimulator::run_planned`], plus
-    /// [`SimError::InvalidOptions`] for a malformed fault plan.
+    /// Returns [`SimError`] if the options or fault plan are invalid, the
+    /// schedule or table lists do not match the entries, a schedule does not
+    /// fit the topology, a table does not match its schedule, or the
+    /// simulation fails to make progress.
     pub fn run_planned_cached(
         &self,
         entries: &[StreamEntry],
@@ -246,7 +193,20 @@ impl<'a> StreamSimulator<'a> {
                 .matrix_memo
                 .mark_validated(schedule, table, num_dims);
         }
-        let (order, ordered) = self.admission_ordered(entries, schedules)?;
+        if schedules.len() != entries.len() {
+            return Err(SimError::InvalidOptions {
+                reason: format!(
+                    "{} schedules provided for {} stream entries",
+                    schedules.len(),
+                    entries.len()
+                ),
+            });
+        }
+        let order = admission_order(entries);
+        let ordered: Vec<Arc<CollectiveSchedule>> = order
+            .iter()
+            .map(|&index| Arc::clone(&schedules[index]))
+            .collect();
         let ordered_tables: Vec<Arc<CostTable>> = order
             .iter()
             .map(|&index| Arc::clone(&tables[index]))
@@ -259,46 +219,6 @@ impl<'a> StreamSimulator<'a> {
             workspace,
             plan_cache,
         )
-    }
-
-    /// Validates `schedules` against the entry list and topology and returns
-    /// the admission order plus the schedules re-indexed by admission slot.
-    fn order_schedules(
-        &self,
-        entries: &[StreamEntry],
-        schedules: &[Arc<CollectiveSchedule>],
-    ) -> Result<(Vec<usize>, Vec<Arc<CollectiveSchedule>>), SimError> {
-        let (order, ordered) = self.admission_ordered(entries, schedules)?;
-        for schedule in &ordered {
-            schedule.validate(self.topo)?;
-        }
-        Ok((order, ordered))
-    }
-
-    /// Checks the schedule list against the entry list and returns the
-    /// admission order plus the schedules re-indexed by admission slot
-    /// (without per-schedule validation — callers on the plan-cache path
-    /// validate through the workspace memo instead).
-    fn admission_ordered(
-        &self,
-        entries: &[StreamEntry],
-        schedules: &[Arc<CollectiveSchedule>],
-    ) -> Result<(Vec<usize>, Vec<Arc<CollectiveSchedule>>), SimError> {
-        if schedules.len() != entries.len() {
-            return Err(SimError::InvalidOptions {
-                reason: format!(
-                    "{} schedules provided for {} stream entries",
-                    schedules.len(),
-                    entries.len()
-                ),
-            });
-        }
-        let order = admission_order(entries);
-        let ordered = order
-            .iter()
-            .map(|&index| Arc::clone(&schedules[index]))
-            .collect();
-        Ok((order, ordered))
     }
 
     /// The sequential-timeline policy: each collective runs alone through
@@ -1862,32 +1782,47 @@ mod tests {
 
     #[test]
     fn disabling_overlap_degenerates_to_the_sequential_timeline_bitwise() {
+        // With overlap off every collective runs alone, in its own frame, and
+        // starts once it is issued and the network has drained: each span is
+        // a standalone pipeline run laid end to end, bit for bit. The entries
+        // are listed out of issue order, one is issued before t = 0 and the
+        // last one long after the others drain.
         let topo = PresetTopology::SwSwSw3dHetero.build();
         let entries = vec![
             entry("a", 0.0, 128.0),
             entry("b", 10_000.0, 64.0),
             entry("c", 0.0, 32.0),
+            entry("d", -1e9, 16.0),
+            entry("e", 1e9, 16.0),
         ];
         let options = SimOptions::default().with_cross_collective_overlap(false);
         let stream = run_stream(&topo, options, &entries);
-        let timeline_entries: Vec<crate::timeline::TimelineEntry> = entries
-            .iter()
-            .map(|e| crate::timeline::TimelineEntry {
-                label: e.label.clone(),
-                issue_ns: e.issue_ns,
-                request: e.request,
-            })
-            .collect();
-        let timeline = crate::timeline::TimelineSimulator::new(&topo, SimOptions::default())
-            .run(&mut ThemisScheduler::new(8), &timeline_entries)
-            .unwrap();
-        assert_eq!(stream.finish_ns.to_bits(), timeline.finish_ns.to_bits());
-        assert_eq!(stream.spans.len(), timeline.entries.len());
-        for (span, (entry, start, report)) in stream.spans.iter().zip(timeline.entries.iter()) {
-            assert_eq!(span.label, entry.label);
-            assert_eq!(span.start_ns.to_bits(), start.to_bits());
-            assert_eq!(&span.report, report);
+        let labels: Vec<&str> = stream.spans.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["a", "c", "d", "b", "e"], "admitted in issue order");
+        let mut network_free_at = 0.0f64;
+        for span in &stream.spans {
+            let request = entries[span.index].request;
+            let schedule = {
+                use themis_core::CollectiveScheduler;
+                ThemisScheduler::new(8).schedule(&request, &topo).unwrap()
+            };
+            let alone = PipelineSimulator::new(&topo, SimOptions::default())
+                .run(&schedule)
+                .unwrap();
+            assert_eq!(span.report, alone, "{}", span.label);
+            let start = network_free_at.max(entries[span.index].issue_ns.max(0.0));
+            assert_eq!(span.start_ns.to_bits(), start.to_bits(), "{}", span.label);
+            network_free_at = start + alone.total_time_ns;
+            assert_eq!(span.finish_ns.to_bits(), network_free_at.to_bits());
+            assert_eq!(span.overlapped_ns, 0.0);
         }
+        assert_eq!(stream.finish_ns.to_bits(), network_free_at.to_bits());
+        assert_eq!(stream.overlap_ns, 0.0);
+        // The early issue is clamped to t = 0, so the makespan is the finish
+        // time, and the late issue leaves the network idle in between.
+        assert_eq!(stream.makespan_ns(), stream.finish_ns);
+        assert_eq!(stream.spans[4].start_ns, 1e9);
+        assert!(stream.total_communication_ns() < stream.finish_ns);
     }
 
     #[test]
@@ -2039,10 +1974,14 @@ mod tests {
     #[test]
     fn empty_stream_is_a_noop() {
         let topo = PresetTopology::Sw2d.build();
-        let report = run_stream(&topo, SimOptions::default(), &[]);
-        assert!(report.spans.is_empty());
-        assert_eq!(report.finish_ns, 0.0);
-        assert_eq!(report.makespan_ns(), 0.0);
+        for overlap in [true, false] {
+            let options = SimOptions::default().with_cross_collective_overlap(overlap);
+            let report = run_stream(&topo, options, &[]);
+            assert!(report.spans.is_empty());
+            assert_eq!(report.finish_ns, 0.0);
+            assert_eq!(report.makespan_ns(), 0.0);
+            assert_eq!(report.total_communication_ns(), 0.0);
+        }
     }
 
     #[test]

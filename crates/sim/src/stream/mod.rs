@@ -24,11 +24,15 @@
 //! the strict back-to-back execution of the sequential timeline model: each
 //! collective runs alone through the loop's single-collective instantiation,
 //! in its own single-run frame, and the runs are laid end to end (the overlap
-//! policy runs the merged instantiation instead);
-//! [`crate::timeline::TimelineSimulator`] is a thin wrapper around that
-//! policy, making the stream engine the single entry point for collective
-//! queues. [`crate::PipelineSimulator`] runs the same single-collective
+//! policy runs the merged instantiation instead). The stream engine is the
+//! single entry point for collective queues, and
+//! [`crate::PipelineSimulator`] runs the same single-collective
 //! instantiation, so one event loop executes every simulation.
+//!
+//! A queue enters through one of two paths: [`StreamSimulator::run`]
+//! schedules and prices every entry afresh (the cache-free reference), and
+//! [`StreamSimulator::run_planned_cached`] executes schedules and cost
+//! tables served by a [`themis_core::SimPlanCache`], bit-identically.
 //!
 //! ```
 //! use themis_core::ThemisScheduler;

@@ -155,8 +155,8 @@ impl SimTelemetry {
 /// Reusable scratch buffers for the simulation event loops.
 ///
 /// Create one per worker thread (the buffers are not shared) and pass it to
-/// [`crate::PipelineSimulator::run_prepared`] /
-/// [`crate::StreamSimulator::run_planned`]. A default workspace is empty;
+/// [`crate::PipelineSimulator::run_planned`] /
+/// [`crate::StreamSimulator::run_planned_cached`]. A default workspace is empty;
 /// buffers grow to the largest cell executed and stay allocated.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {

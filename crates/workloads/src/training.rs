@@ -25,7 +25,7 @@ use themis_collectives::CollectiveKind;
 use themis_core::{CollectiveRequest, IdealEstimator, SchedulerKind, SimPlanCache};
 use themis_net::{DataSize, NetworkTopology};
 use themis_sim::stream::{StreamEntry, StreamSimulator};
-use themis_sim::{CollectiveExecutor, SimOptions, SimWorkspace, StreamReport};
+use themis_sim::{PipelineSimulator, SimOptions, SimWorkspace, StreamReport};
 
 /// The shared-cache context threaded through one training-iteration
 /// simulation: an optional warm [`SimPlanCache`] plus the reusable simulation
@@ -309,14 +309,14 @@ impl TrainingSimulator {
         kind: SchedulerKind,
         ctx: &mut PlanCtx<'_>,
     ) -> Result<(f64, f64), WorkloadError> {
-        let executor = CollectiveExecutor::new(topo).with_options(self.sim_options.clone());
+        let simulator = PipelineSimulator::new(topo, self.sim_options.clone());
         let chunks = self.config.chunks_per_collective;
         let report = match ctx.plan {
             // Warm-cache path: schedule and cost table served from the shared
             // plan, event-loop state from the reusable workspace.
             // Bit-identical to the uncached run below.
-            Some(plan) => executor.run_kind_planned(kind, chunks, request, plan, ctx.workspace)?,
-            None => executor.run_kind(kind, chunks, request)?,
+            Some(plan) => simulator.run_kind_planned(kind, chunks, request, plan, ctx.workspace)?,
+            None => simulator.run_kind(kind, chunks, request)?,
         };
         Ok((report.total_time_ns, report.average_bw_utilization()))
     }

@@ -4,14 +4,12 @@
 use crate::api::platform::Platform;
 use crate::api::report::{RunConfig, RunResult};
 use crate::error::ThemisError;
-use std::sync::Arc;
 use themis_collectives::CollectiveKind;
 use themis_core::{
-    CollectiveRequest, CollectiveSchedule, ScheduleCache, ScheduleError, SchedulerKind,
-    SimPlanCache,
+    CollectiveRequest, CollectiveSchedule, ScheduleError, SchedulerKind, SimPlanCache,
 };
 use themis_net::DataSize;
-use themis_sim::{PipelineSimulator, SimReport, SimWorkspace};
+use themis_sim::{PipelineSimulator, SimError, SimReport, SimWorkspace};
 
 /// The paper's default chunk granularity (64 chunks per collective).
 pub const DEFAULT_CHUNKS: usize = 64;
@@ -133,28 +131,6 @@ impl Job {
         Ok(scheduler.schedule(&self.request(), platform.scheduling_topology()?.as_ref())?)
     }
 
-    /// Like [`Job::schedule_on`], but served through a shared
-    /// [`ScheduleCache`]: if an identical job (same topology structure,
-    /// collective, chunk count and scheduler) was scheduled before, the cached
-    /// schedule is returned without running the scheduler again. Schedulers
-    /// are deterministic, so the result is bit-identical to [`Job::schedule_on`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Job::schedule_on`].
-    pub fn schedule_on_cached(
-        &self,
-        platform: &Platform,
-        cache: &ScheduleCache,
-    ) -> Result<Arc<CollectiveSchedule>, ThemisError> {
-        Ok(cache.get_or_schedule(
-            platform.scheduling_topology()?.as_ref(),
-            &self.request(),
-            self.chunks,
-            self.scheduler,
-        )?)
-    }
-
     /// Schedules *and* simulates this job on `platform`.
     ///
     /// # Errors
@@ -168,29 +144,9 @@ impl Job {
         })
     }
 
-    /// Like [`Job::run_on`], but scheduling through a shared [`ScheduleCache`]
-    /// (the campaign [`crate::api::Runner`] uses this for every cell unless
-    /// caching is disabled). Reports are bit-identical to the uncached path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and simulation errors as [`ThemisError`].
-    pub fn run_on_cached(
-        &self,
-        platform: &Platform,
-        cache: &ScheduleCache,
-    ) -> Result<RunResult, ThemisError> {
-        let schedule = self.schedule_on_cached(platform, cache)?;
-        let report =
-            PipelineSimulator::new(platform.topology(), platform.options()).run(&schedule)?;
-        Ok(RunResult {
-            config: self.config_on(platform),
-            report,
-        })
-    }
-
-    /// The full precompiled-plan fast path: the schedule comes from the
-    /// plan's [`ScheduleCache`], the per-op cost table from its
+    /// The full precompiled-plan fast path
+    /// ([`PipelineSimulator::run_kind_planned`]): the schedule comes from the
+    /// plan's [`themis_core::ScheduleCache`], the per-op cost table from its
     /// [`themis_core::CostTableCache`], and the event-loop state from the
     /// caller's reusable [`SimWorkspace`]. This is what the campaign
     /// [`crate::api::Runner`] executes for every cell unless caching is
@@ -205,19 +161,20 @@ impl Job {
         plan: &SimPlanCache,
         workspace: &mut SimWorkspace,
     ) -> Result<RunResult, ThemisError> {
-        let schedule = {
-            let _span = workspace.phase_schedule_span();
-            self.schedule_on_cached(platform, plan.schedules())?
-        };
-        let simulator = PipelineSimulator::new(platform.topology(), platform.options());
-        let table = {
-            let _span = workspace.phase_cost_span();
-            plan.cost_tables()
-                .get_or_build(platform.topology(), simulator.cost_model(), &schedule)
-                .map_err(ThemisError::from)?
-        };
-        let report =
-            simulator.run_planned(&schedule, &table, workspace, Some(plan.cost_tables()))?;
+        let report = PipelineSimulator::new(platform.topology(), platform.options())
+            .run_kind_planned(
+                self.scheduler,
+                self.chunks,
+                &self.request(),
+                plan,
+                workspace,
+            )
+            .map_err(|err| match err {
+                // A scheduling failure keeps the variant `Job::schedule_on`
+                // reports it with.
+                SimError::Schedule(err) => ThemisError::Schedule(err),
+                err => ThemisError::Sim(err),
+            })?;
         Ok(RunResult {
             config: self.config_on(platform),
             report,
@@ -275,23 +232,25 @@ mod tests {
     #[test]
     fn cached_runs_match_uncached_runs_bit_for_bit() {
         let platform = Platform::preset(PresetTopology::SwSwSw3dHetero);
-        let cache = ScheduleCache::new();
+        let plan = SimPlanCache::new();
+        let mut workspace = SimWorkspace::new();
         for kind in SchedulerKind::all() {
             let job = Job::all_reduce_mib(96.0).chunks(8).scheduler(kind);
-            let cached = job.run_on_cached(&platform, &cache).unwrap();
+            let cached = job.run_planned(&platform, &plan, &mut workspace).unwrap();
             let direct = job.run_on(&platform).unwrap();
             assert_eq!(cached, direct, "{kind}");
             // A second cached run hits and stays identical.
-            let again = job.run_on_cached(&platform, &cache).unwrap();
+            let again = job.run_planned(&platform, &plan, &mut workspace).unwrap();
             assert_eq!(again, direct);
         }
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(cache.hits(), 3);
-        // Cached scheduling surfaces the same errors.
-        let err = Job::all_reduce_mib(96.0)
-            .chunks(0)
-            .run_on_cached(&platform, &cache)
+        assert_eq!(plan.schedules().misses(), 3);
+        assert_eq!(plan.schedules().hits(), 3);
+        // Cached scheduling surfaces the same error as the plain path.
+        let job = Job::all_reduce_mib(96.0).chunks(0);
+        let err = job
+            .run_planned(&platform, &plan, &mut workspace)
             .unwrap_err();
+        assert_eq!(err, job.run_on(&platform).unwrap_err());
         assert!(matches!(err, ThemisError::Schedule(_)));
     }
 

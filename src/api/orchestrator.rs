@@ -68,8 +68,6 @@ pub struct OrchestratorOptions {
     /// warm-start from it and merge-publish back into it, so schedules
     /// survive across processes and sweeps.
     pub cache_file: Option<PathBuf>,
-    /// Worker threads per shard process (`--threads`).
-    pub threads_per_worker: usize,
     /// Deterministic failure injection: `(shard_index, after_cells)` pairs.
     /// The **first** attempt of each listed shard runs with
     /// `--fail-after after_cells`, so it aborts (exit code 3) after that many
@@ -92,8 +90,8 @@ pub struct OrchestratorOptions {
 impl OrchestratorOptions {
     /// Defaults: 2 shards, cost-balanced planning, 3 attempts per shard,
     /// 120 s stall timeout, 25 ms polling, 50 ms → 2 s exponential backoff,
-    /// scratch under `serve-work/`, no shared cache file, 1 thread per
-    /// worker, no failure injection.
+    /// scratch under `serve-work/`, no shared cache file, no failure
+    /// injection.
     pub fn new(worker: impl Into<PathBuf>) -> Self {
         OrchestratorOptions {
             worker: worker.into(),
@@ -106,7 +104,6 @@ impl OrchestratorOptions {
             backoff_cap: Duration::from_secs(2),
             work_dir: PathBuf::from("serve-work"),
             cache_file: None,
-            threads_per_worker: 1,
             fail_first_attempt: Vec::new(),
             keep_files: false,
             sweep_id: None,
@@ -650,10 +647,6 @@ impl Orchestrator {
             .stderr(Stdio::null());
         if let Some(cache) = &self.options.cache_file {
             cmd.arg("--cache").arg(cache);
-        }
-        if self.options.threads_per_worker > 1 {
-            cmd.arg("--threads")
-                .arg(self.options.threads_per_worker.to_string());
         }
         if task.attempts == 0 {
             if let Some((_, after_cells)) = self

@@ -30,15 +30,6 @@ impl RunSpec {
     pub fn new(platform: Platform, job: Job) -> Self {
         RunSpec { platform, job }
     }
-
-    /// Executes the spec: schedules and simulates the job on the platform.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and simulation errors as [`ThemisError`].
-    pub fn execute(&self) -> Result<RunResult, ThemisError> {
-        self.job.run_on(&self.platform)
-    }
 }
 
 /// A self-contained campaign cell a [`Runner`] can dispatch: it executes on
@@ -50,7 +41,9 @@ pub trait CampaignCell: Sync {
     /// The per-cell result type.
     type Output: Send;
 
-    /// Executes the cell.
+    /// Executes the cell on the plain path: scheduled and priced afresh,
+    /// through no cache — the reference the planned path is compared
+    /// against.
     ///
     /// # Errors
     ///
@@ -82,7 +75,7 @@ impl CampaignCell for RunSpec {
     type Output = RunResult;
 
     fn execute(&self) -> Result<RunResult, ThemisError> {
-        RunSpec::execute(self)
+        self.job.run_on(&self.platform)
     }
 
     fn execute_planned(
@@ -106,7 +99,7 @@ impl CampaignCell for StreamSpec {
     type Output = StreamRunResult;
 
     fn execute(&self) -> Result<StreamRunResult, ThemisError> {
-        StreamSpec::execute(self)
+        self.job.run_on(&self.platform)
     }
 
     fn execute_planned(
@@ -130,29 +123,6 @@ impl CampaignCell for StreamSpec {
     }
 }
 
-/// Forwarding impl so shard execution can dispatch borrowed cells without
-/// deep-cloning every spec per run (each `RunSpec` clone copies its whole
-/// `Platform`, topology included).
-impl<C: CampaignCell> CampaignCell for &C {
-    type Output = C::Output;
-
-    fn execute(&self) -> Result<Self::Output, ThemisError> {
-        C::execute(self)
-    }
-
-    fn execute_planned(
-        &self,
-        plan: &SimPlanCache,
-        workspace: &mut SimWorkspace,
-    ) -> Result<Self::Output, ThemisError> {
-        C::execute_planned(self, plan, workspace)
-    }
-
-    fn cost_estimate(&self) -> f64 {
-        C::cost_estimate(self)
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
     Sequential,
@@ -163,7 +133,8 @@ enum Backend {
 /// so a one-off wide parallel run does not pin its peak working set forever.
 const WORKSPACE_POOL_CAP: usize = 32;
 
-/// Process-wide pool of reusable [`SimWorkspace`]s.
+/// Process-wide pool of reusable [`SimWorkspace`]s, shared by runner
+/// workers and shard executions ([`crate::api::shard::ShardSpec`]).
 ///
 /// `Runner` is a `Copy` configuration value that callers freely re-create per
 /// campaign, so the pool — not the runner — is what carries event-loop
@@ -172,7 +143,7 @@ const WORKSPACE_POOL_CAP: usize = 32;
 /// affects results.
 static WORKSPACE_POOL: Mutex<Vec<SimWorkspace>> = Mutex::new(Vec::new());
 
-fn checkout_workspace() -> SimWorkspace {
+pub(crate) fn checkout_workspace() -> SimWorkspace {
     WORKSPACE_POOL
         .lock()
         .ok()
@@ -180,7 +151,7 @@ fn checkout_workspace() -> SimWorkspace {
         .unwrap_or_default()
 }
 
-fn checkin_workspace(workspace: SimWorkspace) {
+pub(crate) fn checkin_workspace(workspace: SimWorkspace) {
     if let Ok(mut pool) = WORKSPACE_POOL.lock() {
         if pool.len() < WORKSPACE_POOL_CAP {
             pool.push(workspace);
@@ -247,12 +218,6 @@ impl Runner {
         self
     }
 
-    /// `true` if executions share a precompiled plan cache across cells and
-    /// workers.
-    pub fn caches_schedules(&self) -> bool {
-        self.cache_schedules
-    }
-
     /// `true` if this runner uses worker threads.
     pub fn is_parallel(&self) -> bool {
         matches!(self.backend, Backend::Parallel { .. })
@@ -297,10 +262,10 @@ impl Runner {
     }
 
     /// Executes cells through a caller-provided [`SimPlanCache`] instead of a
-    /// per-execution one: the sharding layer uses this to warm-start workers
-    /// from a dumped schedule-cache file and to read hit/miss statistics
-    /// after the run, and figure suites use it to share one warm plan across
-    /// several campaigns. The plan is always consulted, regardless of
+    /// per-execution one, so the caller can warm-start it (e.g. from a dumped
+    /// schedule-cache file), read its hit/miss statistics after the run, or
+    /// share one warm plan across several campaigns, as the figure suites
+    /// do. The plan is always consulted, regardless of
     /// [`Runner::with_schedule_cache`] (reports are bit-identical either
     /// way).
     ///
@@ -465,10 +430,6 @@ mod tests {
             .execute(&specs)
             .unwrap();
         assert_eq!(cached, uncached);
-        assert!(Runner::sequential().caches_schedules());
-        assert!(!Runner::sequential()
-            .with_schedule_cache(false)
-            .caches_schedules());
     }
 
     #[test]
@@ -494,20 +455,6 @@ mod tests {
         assert_eq!(again, warm);
         assert_eq!((schedules.hits(), schedules.misses()), (3, 3));
         assert_eq!(plan.cost_tables().misses(), built);
-    }
-
-    #[test]
-    fn borrowed_cells_execute_like_owned_cells() {
-        let specs = specs();
-        let refs: Vec<&RunSpec> = specs.iter().collect();
-        let plan = SimPlanCache::new();
-        let borrowed = Runner::sequential()
-            .execute_with_cache(&refs, &plan)
-            .unwrap();
-        assert_eq!(borrowed, Runner::sequential().execute(&specs).unwrap());
-        for (spec, r) in specs.iter().zip(&refs) {
-            assert_eq!(spec.cost_estimate(), r.cost_estimate());
-        }
     }
 
     #[test]

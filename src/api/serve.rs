@@ -93,11 +93,14 @@
 //! whitespace, number spelling and string escapes normalise, while key
 //! order and omitted optional fields (`faults`, `reference_engine`) give
 //! correct results in separate entries.
+//!
+//! [`Runner::execute`]: crate::api::Runner::execute
+//! [`Runner::execute_streams`]: crate::api::Runner::execute_streams
 
 use crate::api::json::{Json, RawJson};
 use crate::api::orchestrator::{Orchestrator, OrchestratorOptions};
 use crate::api::report::{run_result_to_json, CampaignReport};
-use crate::api::runner::{CampaignCell, RunSpec, Runner};
+use crate::api::runner::{CampaignCell, RunSpec};
 use crate::api::shard::{
     job_from_json, job_to_json, platform_from_json, platform_to_json, stream_job_from_json,
     stream_job_to_json, ShardSpec, ShardStrategy,
@@ -131,8 +134,6 @@ pub struct ServeOptions {
     /// FIFO capacity of the resident result cache; older cells are evicted
     /// beyond it so a long-running daemon's memory stays bounded.
     pub max_resident_cells: usize,
-    /// Worker threads per spawned shard worker in `sweep` requests.
-    pub worker_threads: usize,
     /// Upper bound on one request line, in bytes. A longer line is drained
     /// without buffering it and answered with a structured `status:"error"`
     /// response, so a hostile or buggy client can never balloon the daemon's
@@ -164,7 +165,6 @@ impl Default for ServeOptions {
             cache_file: None,
             work_dir: PathBuf::from("serve-work"),
             max_resident_cells: 4096,
-            worker_threads: 1,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             max_in_flight: 0,
             default_deadline_ms: None,
@@ -495,6 +495,8 @@ impl Service {
     /// Executes a `campaign` request: each cell through the single-flight
     /// result cache on the resident plan. Byte-identical to
     /// [`CampaignReport::to_json`] of [`Runner::execute`] on the same specs.
+    ///
+    /// [`Runner::execute`]: crate::api::Runner::execute
     fn handle_campaign(&self, request: &Json) -> Result<Json, ThemisError> {
         let mut workspace = SimWorkspace::with_telemetry(self.telemetry.clone());
         if let Some(token) = self.deadline_token(request)? {
@@ -642,7 +644,7 @@ impl Service {
     /// Executes a `shard` request against the resident plan cache.
     fn handle_shard(&self, request: &Json) -> Result<Json, ThemisError> {
         let spec = ShardSpec::from_json_value(request.field("spec")?)?;
-        let report = spec.execute_with_cache(&Runner::sequential(), &self.plan)?;
+        let report = spec.execute_with_cache(&self.plan)?;
         Ok(report.to_json_value())
     }
 
@@ -661,7 +663,6 @@ impl Service {
         let mut options = OrchestratorOptions::new(worker);
         options.work_dir = self.options.work_dir.clone();
         options.cache_file = self.options.cache_file.clone();
-        options.threads_per_worker = self.options.worker_threads;
         if let Some(shards) = request.get("shards") {
             options.shards = shards.as_usize()?;
         }

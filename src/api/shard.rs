@@ -46,19 +46,21 @@
 //! // (in one process here; each spec round-trips through JSON to any other).
 //! let plan = ShardPlan::from_cells(ShardStrategy::CostBalanced, &specs, 2);
 //! let shards = ShardSpec::campaign_shards(&specs, &plan)?;
-//! let runner = Runner::sequential();
 //! let partials = shards
 //!     .iter()
-//!     .map(|shard| shard.execute(&runner))
+//!     .map(ShardSpec::execute)
 //!     .collect::<Result<Vec<_>, _>>()?;
 //!
 //! // The merged report is bit-identical to the unsharded run.
 //! let merged = merge_reports(&partials)?;
-//! let direct = campaign.run(&runner)?;
+//! let direct = campaign.run(&Runner::sequential())?;
 //! assert_eq!(merged.campaign(), Some(&direct));
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! [`Runner::execute`]: crate::api::Runner::execute
+//! [`Runner::execute_streams`]: crate::api::Runner::execute_streams
 
 use crate::api::json::Json;
 use crate::api::platform::Platform;
@@ -66,7 +68,7 @@ use crate::api::report::{
     collective_from_label, run_result_from_json, run_result_to_json, scheduler_from_label,
 };
 use crate::api::report::{CampaignReport, RunResult};
-use crate::api::runner::{CampaignCell, RunSpec, Runner};
+use crate::api::runner::{checkin_workspace, checkout_workspace, CampaignCell, RunSpec};
 use crate::api::stream::{
     stream_result_from_json, stream_result_to_json, QueuedCollective, StreamCampaignReport,
     StreamJob, StreamRunResult, StreamSpec,
@@ -75,7 +77,7 @@ use crate::api::Job;
 use crate::error::ThemisError;
 use themis_core::SimPlanCache;
 use themis_net::{DataSize, DimensionSpec, NetworkTopology, TopologyKind};
-use themis_sim::{FaultEvent, FaultKind, FaultPlan, SimOptions};
+use themis_sim::{FaultEvent, FaultKind, FaultPlan, SimOptions, SimWorkspace};
 
 /// How a [`ShardPlan`] distributes cells over shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,11 +231,12 @@ enum ShardCells {
 /// One shard of an expanded campaign matrix: a self-contained unit of work.
 ///
 /// A shard knows which slice of the matrix it holds (`shard_index` of
-/// `shard_count`, plus each cell's global index), executes through any
-/// [`Runner`], and round-trips through JSON so a spec file can be handed to
-/// another process (`shard-worker run`). Merging the resulting
-/// [`ShardReport`]s with [`merge_reports`] reproduces the unsharded report
-/// bit for bit.
+/// `shard_count`, plus each cell's global index), executes its cells one at
+/// a time on the planned path ([`CampaignCell::execute_planned`]), and
+/// round-trips through JSON so a spec file can be handed to another process
+/// (`shard-worker run`): a shard, not a thread, is the unit of parallelism.
+/// Merging the resulting [`ShardReport`]s with [`merge_reports`] reproduces
+/// the unsharded report bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     shard_index: usize,
@@ -333,8 +336,8 @@ impl ShardSpec {
     /// # Errors
     ///
     /// Returns the first scheduling/simulation error in cell order.
-    pub fn execute(&self, runner: &Runner) -> Result<ShardReport, ThemisError> {
-        self.execute_with_cache(runner, &SimPlanCache::new())
+    pub fn execute(&self) -> Result<ShardReport, ThemisError> {
+        self.execute_with_cache(&SimPlanCache::new())
     }
 
     /// Executes the shard through a caller-provided [`SimPlanCache`] — wrap a
@@ -344,52 +347,23 @@ impl ShardSpec {
     /// report's [`CacheStats`] count only this execution's schedule lookups
     /// (not earlier users of the same plan).
     ///
-    /// Cells are dispatched by reference: executing a shard repeatedly (e.g.
-    /// in a benchmark loop) does not re-clone its platforms and jobs per run.
-    ///
     /// # Errors
     ///
     /// Returns the first scheduling/simulation error in cell order.
-    pub fn execute_with_cache(
-        &self,
-        runner: &Runner,
-        plan: &SimPlanCache,
-    ) -> Result<ShardReport, ThemisError> {
-        let cache = plan.schedules();
-        let before = cache.stats();
-        let results = match &self.cells {
-            ShardCells::Campaign(cells) => {
-                let specs: Vec<&RunSpec> = cells.iter().map(|(_, spec)| spec).collect();
-                let results = runner.execute_with_cache(&specs, plan)?;
-                ShardResults::Campaign(cells.iter().map(|(i, _)| *i).zip(results).collect())
-            }
-            ShardCells::Stream(cells) => {
-                let specs: Vec<&StreamSpec> = cells.iter().map(|(_, spec)| spec).collect();
-                let results = runner.execute_with_cache(&specs, plan)?;
-                ShardResults::Stream(cells.iter().map(|(i, _)| *i).zip(results).collect())
-            }
-        };
-        Ok(ShardReport {
-            shard_index: self.shard_index,
-            shard_count: self.shard_count,
-            cache: cache.stats().delta(&before),
-            results,
-        })
+    pub fn execute_with_cache(&self, plan: &SimPlanCache) -> Result<ShardReport, ThemisError> {
+        self.execute_with_cache_observed(plan, |_, _| true)
     }
 
-    /// Like [`ShardSpec::execute_with_cache`], but executing the cells one at
-    /// a time and calling `observe(done, total)` after each — the hook
-    /// `shard-worker run` uses to emit heartbeat/progress lines the
-    /// orchestrator ([`crate::api::orchestrator`]) watches. `observe` is also
-    /// called once with `(0, total)` before the first cell, so a worker
-    /// proves liveness even while its first cell simulates.
+    /// Like [`ShardSpec::execute_with_cache`], calling `observe(done, total)`
+    /// after each cell — the hook `shard-worker run` uses to emit
+    /// heartbeat/progress lines the orchestrator
+    /// ([`crate::api::orchestrator`]) watches. `observe` is also called once
+    /// with `(0, total)` before the first cell, so a worker proves liveness
+    /// even while its first cell simulates.
     ///
     /// Returning `false` from `observe` aborts the shard with
     /// [`ThemisError::Serve`] — the deterministic failure path behind the
     /// worker's `--fail-after` test hook.
-    ///
-    /// Cells share `plan` exactly as the batch path does, so the report is
-    /// bit-identical to [`ShardSpec::execute_with_cache`].
     ///
     /// # Errors
     ///
@@ -397,7 +371,6 @@ impl ShardSpec {
     /// [`ThemisError::Serve`] when `observe` aborts.
     pub fn execute_with_cache_observed(
         &self,
-        runner: &Runner,
         plan: &SimPlanCache,
         mut observe: impl FnMut(usize, usize) -> bool,
     ) -> Result<ShardReport, ThemisError> {
@@ -417,31 +390,21 @@ impl ShardSpec {
         check(0)?;
         let cache = plan.schedules();
         let before = cache.stats();
+        let mut workspace = checkout_workspace();
         let results = match &self.cells {
             ShardCells::Campaign(cells) => {
-                let mut results = Vec::with_capacity(cells.len());
-                for (done, (index, spec)) in cells.iter().enumerate() {
-                    let mut cell = runner.execute_with_cache(std::slice::from_ref(spec), plan)?;
-                    results.push((*index, cell.remove(0)));
-                    check(done + 1)?;
-                }
-                ShardResults::Campaign(results)
+                run_cells(cells, plan, &mut workspace, &mut check).map(ShardResults::Campaign)
             }
             ShardCells::Stream(cells) => {
-                let mut results = Vec::with_capacity(cells.len());
-                for (done, (index, spec)) in cells.iter().enumerate() {
-                    let mut cell = runner.execute_with_cache(std::slice::from_ref(spec), plan)?;
-                    results.push((*index, cell.remove(0)));
-                    check(done + 1)?;
-                }
-                ShardResults::Stream(results)
+                run_cells(cells, plan, &mut workspace, &mut check).map(ShardResults::Stream)
             }
         };
+        checkin_workspace(workspace);
         Ok(ShardReport {
             shard_index: self.shard_index,
             shard_count: self.shard_count,
             cache: cache.stats().delta(&before),
-            results,
+            results: results?,
         })
     }
 
@@ -551,6 +514,22 @@ impl ShardSpec {
             cells,
         })
     }
+}
+
+/// The one cell loop of a shard: executes `cells` in order on the planned
+/// path, calling `check(done)` after each.
+fn run_cells<C: CampaignCell>(
+    cells: &[(usize, C)],
+    plan: &SimPlanCache,
+    workspace: &mut SimWorkspace,
+    check: &mut impl FnMut(usize) -> Result<(), ThemisError>,
+) -> Result<Vec<(usize, C::Output)>, ThemisError> {
+    let mut results = Vec::with_capacity(cells.len());
+    for (index, spec) in cells {
+        results.push((*index, spec.execute_planned(plan, workspace)?));
+        check(results.len())?;
+    }
+    Ok(results)
 }
 
 fn check_plan(plan: &ShardPlan, cells: usize) -> Result<(), ThemisError> {
@@ -872,6 +851,9 @@ impl MergedReport {
 /// report the unsharded [`Runner::execute`] / [`Runner::execute_streams`]
 /// would have produced — bit-identical, in matrix order — and sums the
 /// shards' schedule-cache counters.
+///
+/// [`Runner::execute`]: crate::api::Runner::execute
+/// [`Runner::execute_streams`]: crate::api::Runner::execute_streams
 ///
 /// # Errors
 ///
@@ -1270,11 +1252,9 @@ mod tests {
     #[test]
     fn merge_rejects_inconsistent_partials() {
         let specs = matrix();
-        let runner = Runner::sequential();
         let plan = ShardPlan::round_robin(specs.len(), 2);
         let shards = ShardSpec::campaign_shards(&specs, &plan).unwrap();
-        let partials: Vec<ShardReport> =
-            shards.iter().map(|s| s.execute(&runner).unwrap()).collect();
+        let partials: Vec<ShardReport> = shards.iter().map(|s| s.execute().unwrap()).collect();
 
         assert!(matches!(
             merge_reports(&[]),
@@ -1293,7 +1273,7 @@ mod tests {
         // Mixing plans of different shard counts.
         let other_plan = ShardPlan::round_robin(specs.len(), 3);
         let other = ShardSpec::campaign_shards(&specs, &other_plan).unwrap()[0]
-            .execute(&runner)
+            .execute()
             .unwrap();
         assert!(matches!(
             merge_reports(&[partials[0].clone(), other]),

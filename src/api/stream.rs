@@ -48,8 +48,7 @@ use std::sync::Arc;
 use themis_collectives::CollectiveKind;
 use themis_core::plan::CostTable;
 use themis_core::{
-    CollectiveRequest, CollectiveSchedule, ScheduleCache, ScheduleError, SchedulerKind,
-    SimPlanCache,
+    CollectiveRequest, CollectiveSchedule, ScheduleError, SchedulerKind, SimPlanCache,
 };
 use themis_net::presets::PresetTopology;
 use themis_net::DataSize;
@@ -262,54 +261,14 @@ impl StreamJob {
         })
     }
 
-    /// Like [`StreamJob::run_on`], but scheduling every queued collective
-    /// through a shared [`ScheduleCache`]: identical queued collectives (same
-    /// kind and size — e.g. the repeated per-layer gradients of a derived
-    /// training stream) are scheduled once and share one schedule, both within
-    /// this stream and with every other cell using the same cache. Reports are
-    /// bit-identical to the uncached path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and simulation errors as [`ThemisError`].
-    pub fn run_on_cached(
-        &self,
-        platform: &Platform,
-        cache: &ScheduleCache,
-    ) -> Result<StreamRunResult, ThemisError> {
-        if self.chunks == 0 {
-            return Err(ThemisError::Schedule(ScheduleError::ZeroChunks));
-        }
-        let entries = self.stream_entries();
-        // Faults active at t = 0 fold into the bandwidths the scheduler sees
-        // (see `Platform::scheduling_topology`); later events stay invisible.
-        let sched_topo = platform.scheduling_topology()?;
-        let schedules: Vec<Arc<CollectiveSchedule>> = entries
-            .iter()
-            .map(|entry| {
-                cache.get_or_schedule(
-                    sched_topo.as_ref(),
-                    &entry.request,
-                    self.chunks,
-                    self.scheduler,
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        let report = StreamSimulator::new(platform.topology(), platform.options())
-            .run_prescheduled(&entries, &schedules)?;
-        Ok(StreamRunResult {
-            config: self.config_on(platform),
-            report,
-        })
-    }
-
     /// The full precompiled-plan fast path: every queued collective's
-    /// schedule comes from the plan's [`ScheduleCache`], its per-op cost
-    /// table from the plan's [`themis_core::CostTableCache`] (identical
-    /// queued collectives — e.g. repeated per-layer gradients — share one
-    /// schedule *and* one cost table), and the merged event loop runs on the
-    /// caller's reusable [`SimWorkspace`]. Reports are bit-identical to
-    /// [`StreamJob::run_on`].
+    /// schedule comes from the plan's [`themis_core::ScheduleCache`], its
+    /// per-op cost table from the plan's [`themis_core::CostTableCache`]
+    /// (identical queued collectives — e.g. repeated per-layer gradients —
+    /// share one schedule *and* one cost table), and the merged event loop
+    /// runs on the caller's reusable [`SimWorkspace`]
+    /// ([`StreamSimulator::run_planned_cached`]). Reports are bit-identical
+    /// to [`StreamJob::run_on`].
     ///
     /// # Errors
     ///
@@ -436,15 +395,6 @@ impl StreamSpec {
     /// Creates a stream spec.
     pub fn new(platform: Platform, job: StreamJob) -> Self {
         StreamSpec { platform, job }
-    }
-
-    /// Executes the spec.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and simulation errors as [`ThemisError`].
-    pub fn execute(&self) -> Result<StreamRunResult, ThemisError> {
-        self.job.run_on(&self.platform)
     }
 }
 

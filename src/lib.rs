@@ -84,9 +84,9 @@ pub use themis_net::{
     presets::PresetTopology, Bandwidth, DataSize, DimensionSpec, NetworkTopology, TopologyKind,
 };
 pub use themis_sim::{
-    sim_report_trace, stream_report_trace, CollectiveExecutor, CollectiveSpan, FaultEvent,
-    FaultKind, FaultPlan, FaultTimeline, PipelineSimulator, SimOptions, SimReport, SimWorkspace,
-    StreamEntry, StreamReport, StreamSimulator, TimelineEntry, TimelineReport, TimelineSimulator,
+    sim_report_trace, stream_report_trace, CollectiveSpan, FaultEvent, FaultKind, FaultPlan,
+    FaultTimeline, PipelineSimulator, SimOptions, SimReport, SimWorkspace, StreamEntry,
+    StreamReport, StreamSimulator,
 };
 pub use themis_workloads::{
     collective_stream, CommunicationPolicy, ComputeModel, FaultScenario, IterationBreakdown,

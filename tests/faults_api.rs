@@ -86,13 +86,12 @@ fn empty_fault_plan_is_bit_identical_through_sharded_execution() {
     let presets = [PresetTopology::Sw2d, PresetTopology::FcRingSw3d];
     let plain = specs_with(&presets, None);
     let faulted = specs_with(&presets, Some(&FaultPlan::new()));
-    let runner = Runner::sequential();
     let merge = |specs: &[RunSpec]| {
         let plan = ShardPlan::from_cells(ShardStrategy::CostBalanced, specs, 3);
         let partials: Vec<ShardReport> = ShardSpec::campaign_shards(specs, &plan)
             .unwrap()
             .iter()
-            .map(|shard| shard.execute(&runner).unwrap())
+            .map(|shard| shard.execute().unwrap())
             .collect();
         merge_reports(&partials).unwrap()
     };
@@ -130,17 +129,11 @@ fn faulted_runs_are_deterministic_across_runner_backends_and_caches() {
 #[test]
 fn faulted_job_paths_agree_bit_for_bit() {
     let platform = Platform::preset(PresetTopology::Sw2d).with_faults(eventful_plan());
-    let cache = ScheduleCache::new();
     let plan = SimPlanCache::new();
     let mut workspace = SimWorkspace::new();
     for kind in SchedulerKind::all() {
         let job = Job::all_reduce_mib(64.0).chunks(16).scheduler(kind);
         let direct = job.run_on(&platform).unwrap();
-        assert_eq!(
-            job.run_on_cached(&platform, &cache).unwrap(),
-            direct,
-            "{kind}"
-        );
         assert_eq!(
             job.run_planned(&platform, &plan, &mut workspace).unwrap(),
             direct,
@@ -148,11 +141,6 @@ fn faulted_job_paths_agree_bit_for_bit() {
         );
         let streamed = stream(kind);
         let stream_direct = streamed.run_on(&platform).unwrap();
-        assert_eq!(
-            streamed.run_on_cached(&platform, &cache).unwrap(),
-            stream_direct,
-            "stream {kind}"
-        );
         assert_eq!(
             streamed
                 .run_planned(&platform, &plan, &mut workspace)
@@ -175,7 +163,7 @@ fn faulted_shards_survive_the_json_round_trip() {
             // Fault plans ride inside the platform options JSON of the spec.
             let remote = ShardSpec::from_json(&shard.to_json()).unwrap();
             assert_eq!(&remote, shard);
-            let report = remote.execute(&Runner::sequential()).unwrap();
+            let report = remote.execute().unwrap();
             ShardReport::from_json(&report.to_json()).unwrap()
         })
         .collect();

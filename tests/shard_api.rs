@@ -50,17 +50,7 @@ fn merged_campaign_is_bit_identical_to_unsharded_execute() {
             let shards = ShardSpec::campaign_shards(&specs, &plan).unwrap();
             let partials: Vec<ShardReport> = shards
                 .iter()
-                .enumerate()
-                .map(|(i, shard)| {
-                    // Alternate runner backends across shards: the merged
-                    // report must not depend on how each worker executes.
-                    let runner = if i % 2 == 0 {
-                        Runner::sequential()
-                    } else {
-                        Runner::parallel_threads(2)
-                    };
-                    shard.execute(&runner).unwrap()
-                })
+                .map(|shard| shard.execute().unwrap())
                 .collect();
             let merged = merge_reports(&partials).unwrap();
             assert_eq!(
@@ -87,7 +77,7 @@ fn merged_stream_campaign_is_bit_identical_to_unsharded_execute_streams() {
             let shards = ShardSpec::stream_shards(&specs, &plan).unwrap();
             let partials: Vec<ShardReport> = shards
                 .iter()
-                .map(|shard| shard.execute(&Runner::sequential()).unwrap())
+                .map(|shard| shard.execute().unwrap())
                 .collect();
             let merged = merge_reports(&partials).unwrap();
             assert_eq!(
@@ -115,7 +105,7 @@ fn sharding_survives_the_json_round_trip_to_worker_processes() {
             let wire = shard.to_json();
             let remote = ShardSpec::from_json(&wire).unwrap();
             assert_eq!(&remote, shard);
-            let report = remote.execute(&Runner::sequential()).unwrap();
+            let report = remote.execute().unwrap();
             ShardReport::from_json(&report.to_json()).unwrap()
         })
         .collect();
@@ -181,13 +171,12 @@ fn sharded_execution_through_one_warm_plan_matches_the_unsharded_run() {
         StreamCampaignReport::new(Runner::sequential().execute_streams(&stream_specs).unwrap());
 
     let plan = SimPlanCache::new();
-    let runner = Runner::sequential();
     for strategy in [ShardStrategy::RoundRobin, ShardStrategy::CostBalanced] {
         let shard_plan = ShardPlan::from_cells(strategy, &specs, 3);
         let shards = ShardSpec::campaign_shards(&specs, &shard_plan).unwrap();
         let partials: Vec<ShardReport> = shards
             .iter()
-            .map(|shard| shard.execute_with_cache(&runner, &plan).unwrap())
+            .map(|shard| shard.execute_with_cache(&plan).unwrap())
             .collect();
         assert_eq!(merge_reports(&partials).unwrap().campaign(), Some(&direct));
 
@@ -195,7 +184,7 @@ fn sharded_execution_through_one_warm_plan_matches_the_unsharded_run() {
         let stream_shards = ShardSpec::stream_shards(&stream_specs, &stream_shard_plan).unwrap();
         let stream_partials: Vec<ShardReport> = stream_shards
             .iter()
-            .map(|shard| shard.execute_with_cache(&runner, &plan).unwrap())
+            .map(|shard| shard.execute_with_cache(&plan).unwrap())
             .collect();
         assert_eq!(
             merge_reports(&stream_partials).unwrap().stream(),
@@ -212,13 +201,12 @@ fn dumped_cache_warm_starts_a_second_campaign_with_nonzero_hits() {
     let specs = campaign().expand().unwrap();
     let plan = ShardPlan::round_robin(specs.len(), 2);
     let shards = ShardSpec::campaign_shards(&specs, &plan).unwrap();
-    let runner = Runner::sequential();
 
     // First campaign: cold cache, dump the schedules it built.
     let cold = SimPlanCache::new();
     let first: Vec<ShardReport> = shards
         .iter()
-        .map(|shard| shard.execute_with_cache(&runner, &cold).unwrap())
+        .map(|shard| shard.execute_with_cache(&cold).unwrap())
         .collect();
     let first_merged = merge_reports(&first).unwrap();
     assert!(first_merged.cache().misses > 0);
@@ -233,7 +221,7 @@ fn dumped_cache_warm_starts_a_second_campaign_with_nonzero_hits() {
     let warm = SimPlanCache::with_schedules(warm);
     let second: Vec<ShardReport> = shards
         .iter()
-        .map(|shard| shard.execute_with_cache(&runner, &warm).unwrap())
+        .map(|shard| shard.execute_with_cache(&warm).unwrap())
         .collect();
     let second_merged = merge_reports(&second).unwrap();
     assert_eq!(second_merged.campaign(), first_merged.campaign());
@@ -249,12 +237,11 @@ fn stream_shards_share_schedules_through_a_dumped_cache() {
     let specs = stream_campaign().expand().unwrap();
     let plan = ShardPlan::from_cells(ShardStrategy::CostBalanced, &specs, 3);
     let shards = ShardSpec::stream_shards(&specs, &plan).unwrap();
-    let runner = Runner::sequential();
 
     let cold = SimPlanCache::new();
     let first: Vec<ShardReport> = shards
         .iter()
-        .map(|shard| shard.execute_with_cache(&runner, &cold).unwrap())
+        .map(|shard| shard.execute_with_cache(&cold).unwrap())
         .collect();
     let reference = merge_reports(&first).unwrap();
 
@@ -263,7 +250,7 @@ fn stream_shards_share_schedules_through_a_dumped_cache() {
     let warm = SimPlanCache::with_schedules(warm);
     let second: Vec<ShardReport> = shards
         .iter()
-        .map(|shard| shard.execute_with_cache(&runner, &warm).unwrap())
+        .map(|shard| shard.execute_with_cache(&warm).unwrap())
         .collect();
     let merged = merge_reports(&second).unwrap();
     assert_eq!(merged.stream(), reference.stream());
@@ -275,20 +262,19 @@ fn stream_shards_share_schedules_through_a_dumped_cache() {
 fn merge_rejects_mixed_kinds_and_incomplete_matrices() {
     let specs = campaign().expand().unwrap();
     let stream_specs = stream_campaign().expand().unwrap();
-    let runner = Runner::sequential();
 
     let campaign_plan = ShardPlan::round_robin(specs.len(), 2);
     let campaign_partials: Vec<ShardReport> = ShardSpec::campaign_shards(&specs, &campaign_plan)
         .unwrap()
         .iter()
-        .map(|shard| shard.execute(&runner).unwrap())
+        .map(|shard| shard.execute().unwrap())
         .collect();
 
     let stream_plan = ShardPlan::round_robin(stream_specs.len(), 2);
     let stream_partials: Vec<ShardReport> = ShardSpec::stream_shards(&stream_specs, &stream_plan)
         .unwrap()
         .iter()
-        .map(|shard| shard.execute(&runner).unwrap())
+        .map(|shard| shard.execute().unwrap())
         .collect();
 
     // Campaign and stream partials cannot merge together.

@@ -3,9 +3,6 @@
 //! sequential timeline, training-derived streams, and JSON round-tripping.
 
 use themis::prelude::*;
-use themis::sim::stream::{StreamEntry, StreamSimulator};
-use themis::sim::{TimelineEntry, TimelineSimulator};
-use themis::ThemisScheduler;
 
 fn gradient_stream() -> StreamJob {
     StreamJob::named("grads")
@@ -17,48 +14,39 @@ fn gradient_stream() -> StreamJob {
 
 #[test]
 fn stream_engine_degenerates_to_the_sequential_timeline_bit_identically() {
-    // The satellite guarantee: with cross-collective overlap disabled, the
-    // stream engine and the (wrapper) timeline simulator are the same code
-    // path and agree bit for bit.
-    let topo = PresetTopology::SwSwSw3dHetero.build();
-    let entries: Vec<StreamEntry> = gradient_stream()
-        .entries()
-        .iter()
-        .map(|c| StreamEntry::new(c.label().to_string(), c.issue_ns(), c.request()))
-        .collect();
-    let sequential_options = SimOptions::default().with_cross_collective_overlap(false);
-    let stream = StreamSimulator::new(&topo, sequential_options)
-        .run(&mut ThemisScheduler::new(16), &entries)
-        .unwrap();
-
-    let timeline_entries: Vec<TimelineEntry> = gradient_stream()
-        .entries()
-        .iter()
-        .map(|c| TimelineEntry {
-            label: c.label().to_string(),
-            issue_ns: c.issue_ns(),
-            request: c.request(),
-        })
-        .collect();
-    let timeline = TimelineSimulator::new(&topo, SimOptions::default())
-        .run(&mut ThemisScheduler::new(16), &timeline_entries)
-        .unwrap();
-
-    assert_eq!(stream.finish_ns.to_bits(), timeline.finish_ns.to_bits());
-    assert_eq!(stream.spans.len(), timeline.entries.len());
-    for (span, (entry, start, report)) in stream.spans.iter().zip(timeline.entries.iter()) {
-        assert_eq!(span.label, entry.label);
-        assert_eq!(span.start_ns.to_bits(), start.to_bits());
-        assert_eq!(&span.report, report);
+    // With cross-collective overlap disabled, every queued collective runs
+    // alone: each span is the collective's standalone `Job` run, laid end
+    // to end on the stream clock, bit for bit.
+    let platform = Platform::preset(PresetTopology::SwSwSw3dHetero)
+        .with_options(SimOptions::default().with_cross_collective_overlap(false));
+    let stream = gradient_stream().run_on(&platform).unwrap();
+    assert_eq!(stream.spans().len(), 3);
+    let mut network_free_at = 0.0f64;
+    let mut communication_ns = 0.0;
+    for (span, queued) in stream.spans().iter().zip(gradient_stream().entries()) {
+        let alone = Job::new(queued.kind(), queued.size())
+            .chunks(16)
+            .run_on(&platform)
+            .unwrap()
+            .report;
+        assert_eq!(span.report, alone, "{}", span.label);
+        let start = network_free_at.max(queued.issue_ns());
+        assert_eq!(span.start_ns.to_bits(), start.to_bits(), "{}", span.label);
+        network_free_at = start + alone.total_time_ns;
+        communication_ns += alone.total_time_ns;
+        assert_eq!(span.finish_ns.to_bits(), network_free_at.to_bits());
     }
+    assert_eq!(stream.report.finish_ns.to_bits(), network_free_at.to_bits());
+    assert_eq!(stream.overlap_ns(), 0.0);
     // And the report helpers agree on the derived quantities.
     assert_eq!(
         stream.makespan_ns().to_bits(),
-        timeline.makespan_ns().to_bits()
+        network_free_at.to_bits(),
+        "the first collective is issued at t = 0"
     );
     assert_eq!(
-        stream.total_communication_ns().to_bits(),
-        timeline.total_communication_ns().to_bits()
+        stream.report.total_communication_ns().to_bits(),
+        communication_ns.to_bits()
     );
 }
 
@@ -189,10 +177,13 @@ fn cached_stream_jobs_reuse_schedules_for_identical_collectives() {
         }))
         .chunks(16);
     let platform = Platform::preset(PresetTopology::SwSwSw3dHetero);
-    let cache = ScheduleCache::new();
-    let cached = stream.run_on_cached(&platform, &cache).unwrap();
+    let plan = SimPlanCache::new();
+    let cached = stream
+        .run_planned(&platform, &plan, &mut SimWorkspace::new())
+        .unwrap();
     let uncached = stream.run_on(&platform).unwrap();
     assert_eq!(cached, uncached);
+    let cache = plan.schedules();
     assert_eq!(cache.misses(), 1, "identical collectives schedule once");
     assert_eq!(cache.hits(), 5);
 }
