@@ -244,8 +244,19 @@ fn run(args: &[String]) -> Result<(), CmdError> {
     // heartbeat file (progress + this process's telemetry snapshot) for the
     // orchestrator's stall watchdog and cells/sec summary, and the
     // deterministic --fail-after abort used to exercise the retry path.
+    // The file is opened once and each heartbeat overwrites it in place:
+    // truncating and rewriting a whole file costs a flush per cell.
+    // Heartbeats are best-effort, so a file that cannot be opened is skipped.
     let shard_index = spec.shard_index();
     let started = std::time::Instant::now();
+    let mut progress = progress_path.and_then(|path| {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .ok()
+    });
     let observe = |done: usize, total: usize| {
         log_event(
             LogLevel::Info,
@@ -256,7 +267,7 @@ fn run(args: &[String]) -> Result<(), CmdError> {
                 ("total", Json::Num(total as f64)),
             ],
         );
-        if let Some(path) = &progress_path {
+        if let Some(file) = &mut progress {
             let heartbeat = Json::obj([
                 ("done", Json::Num(done as f64)),
                 ("total", Json::Num(total as f64)),
@@ -266,7 +277,7 @@ fn run(args: &[String]) -> Result<(), CmdError> {
                 ),
                 ("telemetry", telemetry::global().snapshot().to_json()),
             ]);
-            let _ = std::fs::write(path, format!("{}\n", heartbeat.render()));
+            let _ = overwrite(file, format!("{}\n", heartbeat.render()).as_bytes());
         }
         match fail_after {
             Some(after) => done < after,
@@ -314,6 +325,14 @@ fn run(args: &[String]) -> Result<(), CmdError> {
         ],
     );
     Ok(())
+}
+
+/// Replaces a file's whole content with `bytes` without truncating it first.
+fn overwrite(file: &mut std::fs::File, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::{Seek, SeekFrom, Write};
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(bytes)?;
+    file.set_len(bytes.len() as u64)
 }
 
 /// Reads one durable input file (partial report or cache dump), accepting

@@ -12,6 +12,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use themis::api::json::Json;
+use themis::api::orchestrator::ShardPerf;
 use themis::api::serve::campaign_cells_to_json;
 use themis::api::shard::ShardStrategy;
 use themis::prelude::*;
@@ -83,6 +84,7 @@ fn orchestrated_campaign_sweeps_are_bit_identical_to_runner_execute() {
         (2, ShardStrategy::CostBalanced),
         (3, ShardStrategy::RoundRobin),
     ] {
+        let plan = strategy.plan(&specs, shards);
         let outcome = orchestrator(&scratch, shards, strategy)
             .run_campaign(&specs)
             .unwrap();
@@ -92,6 +94,12 @@ fn orchestrated_campaign_sweeps_are_bit_identical_to_runner_execute() {
             "{strategy:?} x {shards} shards"
         );
         assert_eq!(outcome.retries(), 0, "{strategy:?} x {shards} shards");
+        // Each worker rewrites its heartbeat file in place; the final one
+        // must read back as one whole JSON line with no stale tail.
+        for (shard, perf) in outcome.shard_perf.iter().enumerate() {
+            let perf = perf.unwrap_or_else(|| panic!("shard {shard}: no final heartbeat"));
+            assert_eq!(perf.cells, plan.shard(shard).len(), "shard {shard}");
+        }
     }
 }
 
@@ -123,6 +131,12 @@ fn injected_shard_failures_are_retried_and_still_merge_bit_identical() {
     assert_eq!(outcome.attempts, vec![2, 1]);
     assert_eq!(outcome.retries(), 1);
     assert_eq!(outcome.merged.campaign(), Some(&reference));
+    // The failure reason carries the worker's own last stderr line.
+    let reason = &outcome.failures[0].reason;
+    assert!(
+        reason.contains("aborted by its observer after 1 of"),
+        "{reason}"
+    );
 }
 
 #[test]
@@ -421,12 +435,19 @@ fn failing_shard_runs_exit_with_the_retryable_code() {
     assert!(status.success());
 
     let out = scratch.path("part-0.json");
+    // The heartbeat file starts out longer than any heartbeat: rewriting it
+    // in place must still leave exactly the one heartbeat written before
+    // the abort, with no stale tail.
+    let progress = scratch.path("part-0.progress");
+    std::fs::write(&progress, "x".repeat(64 * 1024)).unwrap();
     let status = Command::new(WORKER)
         .args([
             "run",
             shards_dir.join("shard-00.json").to_str().unwrap(),
             "--out",
             out.to_str().unwrap(),
+            "--progress",
+            progress.to_str().unwrap(),
             "--fail-after",
             "0",
         ])
@@ -435,6 +456,9 @@ fn failing_shard_runs_exit_with_the_retryable_code() {
         .unwrap();
     assert_eq!(status.code(), Some(3), "shard failures use exit code 3");
     assert!(!out.exists(), "a failed shard writes no partial report");
+    let heartbeat = std::fs::read_to_string(&progress).unwrap();
+    let perf = ShardPerf::from_heartbeat(&heartbeat).unwrap_or_else(|| panic!("{heartbeat:?}"));
+    assert_eq!(perf.cells, 0);
 
     // Usage errors stay on exit code 1, distinct from shard failures.
     let status = Command::new(WORKER)
@@ -531,13 +555,91 @@ fn a_spawn_timeout_on_the_first_attempt_is_retried_and_recorded() {
     options.shards = 1;
     options.stall_timeout = std::time::Duration::from_millis(400);
     options.work_dir = scratch.path("work");
+    // The killed first attempt's orphaned `sleep 30` outlives it and keeps
+    // that attempt's stderr file open; the sweep must not wait for it.
+    let started = std::time::Instant::now();
     let outcome = Orchestrator::new(options).run_campaign(&specs).unwrap();
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "the sweep waited {:?} on an orphaned pipe",
+        started.elapsed()
+    );
     assert_eq!(outcome.attempts, vec![2]);
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(outcome.failures[0].kind, FailureKind::SpawnTimeout);
     assert_eq!(outcome.failures[0].shard, 0);
     assert_eq!(outcome.failures[0].attempt, 1);
     assert_eq!(outcome.merged.campaign(), Some(&reference));
+}
+
+#[cfg(unix)]
+#[test]
+fn a_worker_that_floods_stderr_merges_bit_identical_without_a_retry() {
+    let scratch = Scratch::new("stderr-flood");
+    let worker = scratch.path("noisy.sh");
+    // 1 MiB of stderr before the real worker starts: stderr sent to a pipe
+    // nobody reads would block the script at 64 KiB, before the first
+    // heartbeat, and the attempt would fail as a spawn timeout.
+    write_script(
+        &worker,
+        &format!(
+            "#!/bin/sh\n\
+             yes 'stderr noise' | head -c 1048576 >&2\n\
+             exec \"{real}\" \"$@\"\n",
+            real = WORKER
+        ),
+    );
+    let specs = campaign_specs();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let mut options = OrchestratorOptions::new(&worker);
+    options.shards = 2;
+    options.max_attempts = 1;
+    options.stall_timeout = std::time::Duration::from_secs(10);
+    options.work_dir = scratch.path("work");
+    let outcome = Orchestrator::new(options).run_campaign(&specs).unwrap();
+    assert_eq!(outcome.retries(), 0);
+    assert_eq!(outcome.merged.campaign(), Some(&reference));
+}
+
+#[cfg(unix)]
+#[test]
+fn a_shard_out_of_attempts_fails_the_sweep_only_after_the_running_workers_finish() {
+    let scratch = Scratch::new("exhaust-finish");
+    let worker = scratch.path("slow-shard-0.sh");
+    // Shard 0 starts half a second late, so shard 1's only attempt has long
+    // failed by the time shard 0 can finish. No sweep id is set: every sweep
+    // lets its running workers finish, so their partials survive a failure.
+    write_script(
+        &worker,
+        &format!(
+            "#!/bin/sh\n\
+             case \"$2\" in *shard-0.spec.json) sleep 0.5 ;; esac\n\
+             exec \"{real}\" \"$@\"\n",
+            real = WORKER
+        ),
+    );
+    let mut options = OrchestratorOptions::new(&worker);
+    options.shards = 2;
+    options.max_attempts = 1;
+    options.fail_first_attempt = vec![(1, 0)];
+    options.work_dir = scratch.path("work");
+    let err = Orchestrator::new(options)
+        .run_campaign(&campaign_specs())
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("shard 1 failed after 1 attempt"),
+        "{err}"
+    );
+    let sweep_dir = std::fs::read_dir(scratch.path("work"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    assert!(
+        sweep_dir.join("shard-0.partial.json").exists(),
+        "shard 0 was killed instead of finishing"
+    );
 }
 
 #[test]

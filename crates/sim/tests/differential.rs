@@ -12,7 +12,8 @@
 
 use themis_collectives::CollectiveKind;
 use themis_core::{
-    BaselineScheduler, CollectiveRequest, CollectiveScheduler, IdealEstimator, ThemisScheduler,
+    BaselineScheduler, CollectiveRequest, CollectiveSchedule, CollectiveScheduler, IdealEstimator,
+    ThemisScheduler,
 };
 use themis_net::{DataSize, DimensionSpec, NetworkTopology, TopologyKind};
 use themis_sim::{
@@ -226,11 +227,35 @@ fn run_pipeline_cell(
     if let Ok(report) = &fast {
         let chunks = schedule.chunks().len();
         assert_analytic_bounds(cell, report, report.total_time_ns, &request, chunks, topo);
+        assert_late_faults_change_nothing(cell, topo, options, &schedule, report);
     }
     let reference =
         PipelineSimulator::new(topo, options.clone().with_reference_engine(true)).run(&schedule);
     assert_same_sim(cell, fast, reference);
     true
+}
+
+/// Oracle: a fault plan whose events all fall after the healthy makespan `T`
+/// (dim 0 degraded to half bandwidth at 1.5 `T`, failed for good at 2 `T`)
+/// must leave the report bit-identical, since no operation is left to
+/// reprice. The plan is derived from the cell and draws no random numbers.
+fn assert_late_faults_change_nothing(
+    cell: &str,
+    topo: &NetworkTopology,
+    options: &SimOptions,
+    schedule: &CollectiveSchedule,
+    healthy: &SimReport,
+) {
+    let makespan = healthy.total_time_ns;
+    let late = FaultPlan::new()
+        .degrade(1.5 * makespan, 0, 0.5)
+        .fail(2.0 * makespan, 0);
+    let faulted = PipelineSimulator::new(topo, options.clone().with_faults(late)).run(schedule);
+    assert_same_sim(
+        &format!("{cell} under faults after its makespan"),
+        faulted,
+        Ok(healthy.clone()),
+    );
 }
 
 /// Oracles that share none of the event loops' logic: every chunk runs each
@@ -372,12 +397,13 @@ fn faulted_pipeline_cells_are_bit_identical_across_engines() {
         let Ok(healthy) = PipelineSimulator::new(&topo, options.clone()).run(&schedule) else {
             continue;
         };
+        let cell = format!("faulted pipeline cell {index}");
+        assert_late_faults_change_nothing(&cell, &topo, &options, &schedule, &healthy);
         options = options.with_faults(random_fault_plan(
             &mut rng,
             topo.num_dims(),
             healthy.total_time_ns.max(1.0),
         ));
-        let cell = format!("faulted pipeline cell {index}");
         let fast = PipelineSimulator::new(&topo, options.clone()).run(&schedule);
         if let Ok(report) = &fast {
             let chunks = schedule.chunks().len();

@@ -10,9 +10,12 @@
 //! 2. writes one spec file per shard and spawns one `shard-worker run`
 //!    process per shard (`--progress` heartbeat file, `--out` partial
 //!    report, optionally `--cache` pointed at a shared schedule-cache file),
-//! 3. polls the children: a non-zero exit (the worker signals per-shard
-//!    execution failures with exit code 3) or a heartbeat that stops
-//!    changing for [`OrchestratorOptions::stall_timeout`] fails the attempt,
+//! 3. supervises the children, checking every 1 ms whether a worker has
+//!    exited and every 25 ms whether its heartbeat has moved: a non-zero
+//!    exit (the worker signals per-shard execution failures with exit code
+//!    3) or a heartbeat that stops changing for
+//!    [`OrchestratorOptions::stall_timeout`] fails the attempt, and the last
+//!    line of the worker's stderr file joins the failure reason,
 //! 4. retries failed attempts with bounded exponential backoff up to
 //!    [`OrchestratorOptions::max_attempts`] per shard,
 //! 5. merges the partial reports ([`crate::api::shard::merge_reports`]) into
@@ -28,6 +31,7 @@ use crate::api::stream::StreamSpec;
 use crate::error::ThemisError;
 use std::fmt;
 use std::fs;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,6 +43,16 @@ use themis_core::telemetry::{log_event, LogLevel};
 /// Distinguishes successive sweeps of one process so their scratch
 /// directories never collide.
 static SWEEP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// How often the supervisor checks whether a worker has exited.
+const EXIT_CHECK: Duration = Duration::from_millis(1);
+
+/// How often the supervisor reads heartbeats (and so checks stall timeouts).
+const HEARTBEAT_CHECK: Duration = Duration::from_millis(25);
+
+/// Bytes kept of a worker's last non-empty stderr line, the part of a
+/// failure reason that comes from the worker itself.
+const STDERR_TAIL_BYTES: usize = 512;
 
 /// Configuration of an [`Orchestrator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +68,6 @@ pub struct OrchestratorOptions {
     /// An attempt whose heartbeat file stops changing for this long is
     /// killed and counted as a failure.
     pub stall_timeout: Duration,
-    /// Child-poll period of the supervision loop.
-    pub poll_interval: Duration,
     /// First retry delay; doubled per retry up to [`Self::backoff_cap`].
     pub backoff_base: Duration,
     /// Upper bound of the exponential retry backoff.
@@ -89,9 +101,9 @@ pub struct OrchestratorOptions {
 
 impl OrchestratorOptions {
     /// Defaults: 2 shards, cost-balanced planning, 3 attempts per shard,
-    /// 120 s stall timeout, 25 ms polling, 50 ms → 2 s exponential backoff,
-    /// scratch under `serve-work/`, no shared cache file, no failure
-    /// injection.
+    /// 120 s stall timeout (heartbeats are checked every 25 ms, exits every
+    /// 1 ms), 50 ms → 2 s exponential backoff, scratch under
+    /// `serve-work/`, no shared cache file, no failure injection.
     pub fn new(worker: impl Into<PathBuf>) -> Self {
         OrchestratorOptions {
             worker: worker.into(),
@@ -99,7 +111,6 @@ impl OrchestratorOptions {
             strategy: ShardStrategy::CostBalanced,
             max_attempts: 3,
             stall_timeout: Duration::from_secs(120),
-            poll_interval: Duration::from_millis(25),
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             work_dir: PathBuf::from("serve-work"),
@@ -267,6 +278,8 @@ struct Task {
     spec_path: PathBuf,
     out_path: PathBuf,
     progress_path: PathBuf,
+    /// The current attempt's stderr, kept for its last line.
+    stderr_path: PathBuf,
     /// Attempts launched so far (0 for shards resumed from disk).
     attempts: u32,
     /// Throughput parsed from the final heartbeat of the successful attempt.
@@ -385,8 +398,11 @@ impl Orchestrator {
     ///
     /// Returns [`ThemisError::Serve`] when the worker binary cannot be
     /// spawned, when any shard exhausts [`OrchestratorOptions::max_attempts`],
-    /// or on scratch-file I/O failures. Any still-running workers are killed
-    /// before the error propagates.
+    /// or on scratch-file I/O failures. A shard that exhausts its attempts
+    /// fails the sweep once the workers still running have finished, so
+    /// their partial reports survive for a resume
+    /// ([`OrchestratorOptions::sweep_id`]); on any other error they are
+    /// killed before it propagates.
     pub fn run_shards(&self, shards: &[ShardSpec]) -> Result<SweepOutcome, ThemisError> {
         if shards.is_empty() {
             return Err(ThemisError::Serve {
@@ -447,6 +463,7 @@ impl Orchestrator {
                 spec_path,
                 out_path,
                 progress_path: run_dir.join(format!("shard-{index}.progress")),
+                stderr_path: run_dir.join(format!("shard-{index}.stderr")),
                 attempts: 0,
                 perf: None,
                 resumed: resumed_report.is_some(),
@@ -504,30 +521,46 @@ impl Orchestrator {
     }
 
     /// The supervision loop: launch due tasks, poll running ones, schedule
-    /// retries, until every task is done or one exhausts its attempts.
+    /// retries, until every task is done or one exhausts its attempts. Once
+    /// a shard has exhausted them no attempt starts, but the workers still
+    /// running finish, so each leaves its partial report for a resume.
     fn supervise(&self, tasks: &mut [Task]) -> Result<(), ThemisError> {
+        let mut failed = None;
+        let mut heartbeat_due = Instant::now();
         loop {
+            let check_heartbeats = Instant::now() >= heartbeat_due;
+            if check_heartbeats {
+                heartbeat_due = Instant::now() + HEARTBEAT_CHECK;
+            }
             let mut pending = false;
             for task in tasks.iter_mut() {
-                match self.poll(task) {
+                match self.poll(task, check_heartbeats) {
                     Step::Idle => {}
+                    Step::Launch if failed.is_some() => {}
                     Step::Launch => self.launch(task)?,
                     Step::Finish(report) => task.state = TaskState::Done(report),
-                    Step::Retry(kind, reason) => self.schedule_retry(task, kind, &reason)?,
+                    Step::Retry(kind, reason) => {
+                        if let Err(err) = self.end_attempt(task, kind, &reason, failed.is_none()) {
+                            failed.get_or_insert(err);
+                        }
+                    }
                 }
-                if !matches!(task.state, TaskState::Done(_)) {
-                    pending = true;
-                }
+                pending |= match task.state {
+                    TaskState::Done(_) => false,
+                    TaskState::Waiting { .. } => failed.is_none(),
+                    TaskState::Running { .. } => true,
+                };
             }
             if !pending {
-                return Ok(());
+                return failed.map_or(Ok(()), Err);
             }
-            std::thread::sleep(self.options.poll_interval);
+            std::thread::sleep(EXIT_CHECK);
         }
     }
 
-    /// Inspects one task without mutating anything outside its state.
-    fn poll(&self, task: &mut Task) -> Step {
+    /// Inspects one task without mutating anything outside its state. A
+    /// running worker's heartbeat is read only when `check_heartbeats`.
+    fn poll(&self, task: &mut Task, check_heartbeats: bool) -> Step {
         match &mut task.state {
             TaskState::Done(_) => Step::Idle,
             TaskState::Waiting { until } => {
@@ -565,16 +598,23 @@ impl Orchestrator {
                     }
                     None => Step::Retry(
                         FailureKind::BadReport,
-                        "worker exited cleanly but left no verifiable shard report".to_string(),
+                        with_stderr(
+                            "worker exited cleanly but left no verifiable shard report".to_string(),
+                            &task.stderr_path,
+                        ),
                     ),
                 },
                 Ok(Some(status)) => Step::Retry(
                     FailureKind::WorkerExit,
-                    match status.code() {
-                        Some(code) => format!("worker exited with code {code}"),
-                        None => "worker was killed by a signal".to_string(),
-                    },
+                    with_stderr(
+                        match status.code() {
+                            Some(code) => format!("worker exited with code {code}"),
+                            None => "worker was killed by a signal".to_string(),
+                        },
+                        &task.stderr_path,
+                    ),
                 ),
+                Ok(None) if !check_heartbeats => Step::Idle,
                 Ok(None) => {
                     let progress = fs::read_to_string(&task.progress_path).unwrap_or_default();
                     if progress != *last_progress {
@@ -629,12 +669,19 @@ impl Orchestrator {
         }
     }
 
-    /// Spawns the worker process for a task's next attempt.
+    /// Spawns the worker process for a task's next attempt, its stderr going
+    /// to the shard's stderr file.
     fn launch(&self, task: &mut Task) -> Result<(), ThemisError> {
         // Drop any artifacts of a killed earlier attempt so a fresh exit
-        // status is never paired with a stale report or heartbeat.
+        // status is never paired with a stale report, heartbeat or stderr.
+        // The stderr file is a new one, too: an orphan of a killed attempt
+        // may still hold the old one open.
         let _ = fs::remove_file(&task.out_path);
         let _ = fs::remove_file(&task.progress_path);
+        let _ = fs::remove_file(&task.stderr_path);
+        let stderr = fs::File::create(&task.stderr_path).map_err(|err| ThemisError::Serve {
+            reason: format!("could not create {}: {err}", task.stderr_path.display()),
+        })?;
         let mut cmd = Command::new(&self.options.worker);
         cmd.arg("run")
             .arg(&task.spec_path)
@@ -644,7 +691,7 @@ impl Orchestrator {
             .arg(&task.progress_path)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
-            .stderr(Stdio::null());
+            .stderr(stderr);
         if let Some(cache) = &self.options.cache_file {
             cmd.arg("--cache").arg(cache);
         }
@@ -686,14 +733,15 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Schedules a failed attempt's retry, or gives up once the shard has
-    /// exhausted its attempts. Either way the failure joins the shard's
-    /// supervision history.
-    fn schedule_retry(
+    /// Ends a failed attempt: records it in the shard's supervision history
+    /// and, if `retry`, schedules the next attempt after a backoff. Returns
+    /// the sweep's error once the shard has exhausted its attempts.
+    fn end_attempt(
         &self,
         task: &mut Task,
         kind: FailureKind,
         reason: &str,
+        retry: bool,
     ) -> Result<(), ThemisError> {
         task.failures.push(AttemptFailure {
             shard: task.index,
@@ -701,6 +749,10 @@ impl Orchestrator {
             kind,
             reason: reason.to_string(),
         });
+        // The attempt is over, whether or not another one follows.
+        task.state = TaskState::Waiting {
+            until: Instant::now(),
+        };
         if task.attempts >= self.options.max_attempts {
             return Err(ThemisError::Serve {
                 reason: format!(
@@ -708,6 +760,9 @@ impl Orchestrator {
                     task.index, task.attempts
                 ),
             });
+        }
+        if !retry {
+            return Ok(());
         }
         let exponent = task.attempts.saturating_sub(1).min(16);
         let backoff = self
@@ -730,6 +785,35 @@ impl Orchestrator {
             until: Instant::now() + backoff,
         };
         Ok(())
+    }
+}
+
+/// The last non-empty line of a worker's stderr file, trimmed and cut to
+/// [`STDERR_TAIL_BYTES`]. Only the file's last 4 × [`STDERR_TAIL_BYTES`]
+/// are read, so a longer line is seen from the window's start.
+fn stderr_tail(path: &Path) -> String {
+    let mut tail = Vec::new();
+    if let Ok(mut file) = fs::File::open(path) {
+        let len = file.metadata().map_or(0, |meta| meta.len());
+        let start = len.saturating_sub(4 * STDERR_TAIL_BYTES as u64);
+        let _ = file
+            .seek(SeekFrom::Start(start))
+            .and_then(|_| file.read_to_end(&mut tail));
+    }
+    let line = tail
+        .split(|&byte| byte == b'\n')
+        .map(<[u8]>::trim_ascii)
+        .rfind(|line| !line.is_empty())
+        .unwrap_or_default();
+    String::from_utf8_lossy(&line[..line.len().min(STDERR_TAIL_BYTES)]).into_owned()
+}
+
+/// Appends the last line of a worker's stderr file, if any, to a failure
+/// reason.
+fn with_stderr(reason: String, stderr_path: &Path) -> String {
+    match stderr_tail(stderr_path) {
+        tail if tail.is_empty() => reason,
+        tail => format!("{reason}; stderr: {tail}"),
     }
 }
 
@@ -807,6 +891,31 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("invalid sweep id"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn stderr_tail_keeps_the_last_non_empty_line_cut_to_the_cap() {
+        let dir = std::env::temp_dir().join(format!("stderr-tail-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0.stderr");
+        let tail = |text: &str| {
+            fs::write(&path, text).unwrap();
+            stderr_tail(&path)
+        };
+        let long = "x".repeat(3 * STDERR_TAIL_BYTES);
+        assert_eq!(
+            tail(&format!("first\n{long}\n\n  \n")),
+            "x".repeat(STDERR_TAIL_BYTES)
+        );
+        assert_eq!(tail("a\n last, unterminated "), "last, unterminated");
+        // Only the end of a long file is read.
+        assert_eq!(
+            tail(&format!("{}\nthe end\n", "a\n".repeat(100_000))),
+            "the end"
+        );
+        assert_eq!(tail(""), "");
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(stderr_tail(&path), "");
     }
 
     #[cfg(unix)]

@@ -660,11 +660,28 @@ impl Service {
                          (start themis-serve with --worker)"
                     .to_string(),
             })?;
+        let entries = request.field("entries")?.as_arr()?;
+        if entries.is_empty() {
+            return Err(ThemisError::Serve {
+                reason: "`entries` must hold at least one cell".to_string(),
+            });
+        }
         let mut options = OrchestratorOptions::new(worker);
         options.work_dir = self.options.work_dir.clone();
         options.cache_file = self.options.cache_file.clone();
-        if let Some(shards) = request.get("shards") {
-            options.shards = shards.as_usize()?;
+        // Bounded before anything is written or spawned: each shard is a
+        // worker process, so there are never more shards than cells, and a
+        // stall timeout of 0 would kill every worker at its first heartbeat
+        // check.
+        options.shards = options.shards.min(entries.len());
+        if let Some(shards) = bounded_field(request, "shards", 1, entries.len() as u64)? {
+            options.shards = shards as usize;
+        }
+        if let Some(attempts) = bounded_field(request, "max_attempts", 1, u32::MAX.into())? {
+            options.max_attempts = attempts as u32;
+        }
+        if let Some(timeout) = bounded_field(request, "stall_timeout_ms", 1, u64::MAX)? {
+            options.stall_timeout = Duration::from_millis(timeout);
         }
         if let Some(strategy) = request.get("strategy") {
             options.strategy = match strategy.as_str()? {
@@ -676,12 +693,6 @@ impl Service {
                     })
                 }
             };
-        }
-        if let Some(attempts) = request.get("max_attempts") {
-            options.max_attempts = attempts.as_usize()?.max(1) as u32;
-        }
-        if let Some(timeout) = request.get("stall_timeout_ms") {
-            options.stall_timeout = Duration::from_millis(timeout.as_f64()? as u64);
         }
         if let Some(id) = request.get("sweep_id") {
             options.sweep_id = Some(id.as_str()?.to_string());
@@ -699,7 +710,6 @@ impl Service {
             }
         }
         let orchestrator = Orchestrator::new(options);
-        let entries = request.field("entries")?.as_arr()?;
         let outcome = match request.field("cells")?.as_str()? {
             "campaign" => {
                 let specs = entries
@@ -990,6 +1000,25 @@ fn is_heavy_kind(kind: &str) -> bool {
         kind,
         "ping" | "cache-stats" | "cache-publish" | "metrics" | "shutdown"
     )
+}
+
+/// Decodes an optional whole-number field of a request, refusing anything
+/// outside `min..=max` with an error that names the field.
+fn bounded_field(
+    request: &Json,
+    field: &str,
+    min: u64,
+    max: u64,
+) -> Result<Option<u64>, ThemisError> {
+    let Some(value) = request.get(field) else {
+        return Ok(None);
+    };
+    let reason = match value.as_u64() {
+        Ok(n) if (min..=max).contains(&n) => return Ok(Some(n)),
+        Ok(n) => format!("`{field}` must be between {min} and {max}, got {n}"),
+        Err(err) => format!("`{field}`: {err}"),
+    };
+    Err(ThemisError::Serve { reason })
 }
 
 /// Best-effort panic payload message (panics carry `&str` or `String` in

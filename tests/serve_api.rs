@@ -106,6 +106,82 @@ fn malformed_requests_get_structured_errors_not_crashes() {
         );
         assert_eq!(response.field("id").unwrap().as_usize().unwrap(), id);
     }
+    // A sweep's optional fields are bounded before any spec file is written
+    // or worker spawned, and each refusal names its field. The configured
+    // worker does not exist, so a request that got past the bounds would
+    // fail to spawn instead, after creating its sweep directory.
+    let work_dir = std::env::temp_dir().join(format!("serve-api-bounds-{}", std::process::id()));
+    let sweeper = Service::new(ServeOptions {
+        worker: Some("/nonexistent/shard-worker".into()),
+        work_dir: work_dir.clone(),
+        ..ServeOptions::default()
+    });
+    let entries = campaign_cells_to_json(&campaign_specs()[..1]);
+    for (id, field, value) in [
+        (11, "shards", 40.0),
+        (12, "shards", 0.0),
+        (13, "stall_timeout_ms", -5.0),
+        (14, "stall_timeout_ms", 0.5),
+        (15, "stall_timeout_ms", 0.0),
+        (16, "max_attempts", 4_294_967_297.0),
+        (17, "max_attempts", 0.0),
+    ] {
+        let line = request(
+            id,
+            "sweep",
+            vec![
+                ("cells", Json::Str("campaign".to_string())),
+                ("entries", entries.clone()),
+                (field, Json::Num(value)),
+            ],
+        );
+        let response = Json::parse(&sweeper.handle_line(&line)).unwrap();
+        assert_eq!(
+            response.field("status").unwrap().as_str().unwrap(),
+            "error",
+            "{field} = {value} should be refused"
+        );
+        let error = response.field("error").unwrap().as_str().unwrap();
+        assert!(
+            error.contains(&format!("`{field}`")),
+            "{field} = {value}: {error}"
+        );
+        assert_eq!(response.field("id").unwrap().as_usize().unwrap(), id);
+    }
+    let sweep = |id: usize, entries: Json| {
+        let line = request(
+            id,
+            "sweep",
+            vec![
+                ("cells", Json::Str("campaign".to_string())),
+                ("entries", entries),
+            ],
+        );
+        let response = Json::parse(&sweeper.handle_line(&line)).unwrap();
+        assert_eq!(response.field("status").unwrap().as_str().unwrap(), "error");
+        assert_eq!(response.field("id").unwrap().as_usize().unwrap(), id);
+        response
+            .field("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    };
+    let error = sweep(18, Json::Arr(Vec::new()));
+    assert!(error.contains("`entries`"), "{error}");
+    assert!(!work_dir.exists(), "a refused sweep must write nothing");
+    // Without `shards`, a one-cell sweep plans one shard, not the default
+    // two: the failed spawn leaves exactly one spec file behind.
+    let error = sweep(19, entries);
+    assert!(error.contains("could not spawn shard worker"), "{error}");
+    let spec_files: Vec<_> = std::fs::read_dir(&work_dir)
+        .unwrap()
+        .flat_map(|sweep_dir| std::fs::read_dir(sweep_dir.unwrap().path()).unwrap())
+        .map(|file| file.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".spec.json"))
+        .collect();
+    assert_eq!(spec_files, ["shard-0.spec.json"]);
+    std::fs::remove_dir_all(&work_dir).unwrap();
     // The service keeps serving after every one of them.
     let pong = parse_ok(&service.handle_line(&request(7, "ping", vec![])));
     assert!(pong
