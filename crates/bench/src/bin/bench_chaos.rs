@@ -8,8 +8,11 @@
 //!    (echoing the request id whenever one survived the mutation), and the
 //!    service must keep serving afterwards.
 //! 2. **torn-cache** — a published schedule-cache file is torn mid-body
-//!    (checksum trailer intact); the next daemon start must quarantine the
-//!    file, cold-start, and still answer campaigns bit-identically.
+//!    (checksum trailer intact). A service warm-started from the file that
+//!    computed nothing new must not skip its publish over the torn file: it
+//!    quarantines it and writes a verifiable file holding every schedule.
+//!    Torn again, the next daemon start must quarantine the file,
+//!    cold-start, and still answer campaigns bit-identically.
 //! 3. **panic-mid-request** — a request handler panics; the daemon must
 //!    answer a structured error on that request and stay alive.
 //! 4. **flood** — clients push past the in-flight admission budget; excess
@@ -207,6 +210,27 @@ fn fuzzed_jsonl(iterations: usize) -> Verdict {
 
 // --- Scenario 2: torn cache file -------------------------------------------
 
+/// Tears a sealed file mid-body, leaving the checksum trailer intact: the
+/// worst corruption, because the body is still mostly plausible JSON.
+fn tear(path: &Path) {
+    let sealed = std::fs::read_to_string(path).unwrap();
+    let trailer_at = sealed
+        .rfind(durable::TRAILER_PREFIX)
+        .unwrap_or_else(|| die("published cache file carries no checksum trailer"));
+    let torn = format!("{}{}", &sealed[..trailer_at / 2], &sealed[trailer_at..]);
+    std::fs::write(path, torn).unwrap();
+}
+
+/// The process-wide counters of cache-file publishes that wrote and that
+/// were skipped.
+fn publish_counters() -> (u64, u64) {
+    let global = themis::core::telemetry::global().snapshot();
+    (
+        global.counter("cache.publish_written"),
+        global.counter("cache.publish_skipped"),
+    )
+}
+
 fn torn_cache(scratch: &Scratch, healthy: &Json) -> Verdict {
     let cache_file = scratch.path("chaos-cache.json");
     let options = ServeOptions {
@@ -223,15 +247,59 @@ fn torn_cache(scratch: &Scratch, healthy: &Json) -> Verdict {
         die("cache publish wrote no schedules");
     }
 
-    // Tear the published file mid-body, leaving the checksum trailer intact:
-    // the worst corruption, because the body is still mostly plausible JSON.
-    let sealed = std::fs::read_to_string(&cache_file).unwrap();
-    let trailer_at = sealed
-        .rfind(durable::TRAILER_PREFIX)
-        .unwrap_or_else(|| die("published cache file carries no checksum trailer"));
-    let torn = format!("{}{}", &sealed[..trailer_at / 2], &sealed[trailer_at..]);
-    std::fs::write(&cache_file, torn).unwrap();
+    // A service warm-started from the file computes nothing new, so its
+    // publish has nothing to merge, until the file is torn under it. The
+    // publish must then quarantine the torn file and write a verifiable one
+    // holding every schedule, never skip.
+    let rewarm = Service::new(options.clone());
+    match rewarm.load_cache_file() {
+        Ok(loaded) if loaded == published => {}
+        other => die(&format!(
+            "warm start loaded {other:?} of {published} schedules"
+        )),
+    }
+    let response = Json::parse(&rewarm.handle_line(&campaign_request(3, &[]))).unwrap();
+    expect_status(&response, "ok", "warm-started campaign");
+    if response.field("result").unwrap() != healthy {
+        die("warm-started campaign diverged from the healthy run");
+    }
+    let misses = response
+        .field("cache")
+        .and_then(|cache| cache.field("schedules"))
+        .and_then(|schedules| schedules.field("misses"))
+        .and_then(Json::as_usize);
+    if misses != Ok(0) {
+        die(&format!("warm-started campaign scheduled anew: {misses:?}"));
+    }
+    tear(&cache_file);
+    let (written_before, skipped_before) = publish_counters();
+    match rewarm.publish_cache_file() {
+        Ok(republished) if republished == published => {}
+        other => die(&format!(
+            "publish over the torn file returned {other:?}, not {published}"
+        )),
+    }
+    if publish_counters() != (written_before + 1, skipped_before) {
+        die("publish over the torn file did not write");
+    }
+    let first_quarantine = scratch.path("chaos-cache.json.corrupt-0");
+    if !first_quarantine.exists() {
+        die("publish did not quarantine the torn cache file");
+    }
+    if !matches!(
+        durable::read_verified(&cache_file),
+        Ok(durable::VerifiedRead::Clean(_))
+    ) {
+        die("publish over the torn file left no verifiable file");
+    }
+    match Service::new(options.clone()).load_cache_file() {
+        Ok(loaded) if loaded == published => {}
+        other => die(&format!(
+            "the rebuilt file loads {other:?} of {published} schedules"
+        )),
+    }
 
+    tear(&cache_file);
     let quarantined_before = themis::core::telemetry::global()
         .snapshot()
         .counter("cache.corrupt_quarantined");
@@ -244,7 +312,7 @@ fn torn_cache(scratch: &Scratch, healthy: &Json) -> Verdict {
     if loaded != 0 {
         die(&format!("torn cache yielded {loaded} schedules"));
     }
-    let quarantine = scratch.path("chaos-cache.json.corrupt-0");
+    let quarantine = scratch.path("chaos-cache.json.corrupt-1");
     if !quarantine.exists() {
         die("torn cache file was not quarantined");
     }
@@ -264,7 +332,10 @@ fn torn_cache(scratch: &Scratch, healthy: &Json) -> Verdict {
     Verdict {
         name: "torn-cache",
         detail: format!(
-            "torn file quarantined to `{}`, rebuilt bit-identically",
+            "torn file under a warm publish quarantined to `{}` and rebuilt with \
+             all {published} schedules; torn file at start-up quarantined to `{}`, \
+             rebuilt bit-identically",
+            first_quarantine.file_name().unwrap().to_string_lossy(),
             quarantine.file_name().unwrap().to_string_lossy()
         ),
     }

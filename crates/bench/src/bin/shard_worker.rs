@@ -5,8 +5,9 @@
 //! 1. `plan` — expand a campaign matrix, partition it into N shards and
 //!    write one self-contained `shard-NN.json` spec file per shard;
 //! 2. `run` — execute one spec file (anywhere: another process, another
-//!    host) and write a partial-report file, optionally warm-starting from —
-//!    and republishing to — a shared schedule-cache file;
+//!    host) and write a partial-report file, optionally warm-starting from a
+//!    shared schedule-cache file, which it merge-publishes back into when it
+//!    holds schedules the file lacks;
 //! 3. `merge` — reassemble the partial reports into a report bit-identical
 //!    to the unsharded `Runner::execute`, with aggregate cache statistics.
 //!
@@ -93,9 +94,10 @@ usage: shard-worker <plan|run|merge|cache-merge> [options]
         [--progress FILE] [--fail-after N]
           Execute one shard spec, one cell at a time (a shard is the unit
           of parallelism); write its partial report. With --cache the
-          worker warm-starts from the cache file (if present) and
-          merge-publishes back into it afterwards (concurrent workers lose
-          no entries). --progress writes a JSON heartbeat (done, total,
+          worker warm-starts from the cache file (if present) and, when it
+          holds schedules the file lacks, merge-publishes them back into it
+          afterwards (concurrent workers lose no entries; a worker that
+          scheduled nothing new leaves the file untouched). --progress writes a JSON heartbeat (done, total,
           elapsed_ms and the worker's telemetry snapshot) to FILE after
           every cell; --fail-after aborts deterministically after N cells
           (exit code 3) to exercise orchestrator retries. Shard execution
@@ -295,6 +297,7 @@ fn run(args: &[String]) -> Result<(), CmdError> {
     if let Some(path) = &cache_path {
         // Merge-publish: concurrent sibling workers finishing around the same
         // time all land their schedules (last-writer-wins would drop them).
+        // A worker that scheduled nothing the file lacks writes nothing.
         let published = plan
             .schedules()
             .publish_to_file(std::path::Path::new(path))

@@ -12,8 +12,10 @@
 //! With `--cache FILE`, the fig04/fig08/fig09/fig11 suite is routed through
 //! the resident campaign service ([`themis::api::serve`]) instead of plain
 //! `run_shared` calls: one in-process `Service` carries the warm plan cache,
-//! warm-starts its schedules from FILE (if present) and merge-publishes them
-//! back afterwards — so a second `themis-experiments --cache FILE` run (or a
+//! warm-starts its schedules from FILE (if present) and afterwards
+//! merge-publishes them back when it holds schedules the file lacks (a run
+//! that scheduled nothing new leaves FILE untouched) — so a second
+//! `themis-experiments --cache FILE` run (or a
 //! `themis-serve --cache FILE` daemon, or `shard-worker run --cache FILE`
 //! workers) reuses the schedules across processes. Cache hit statistics are
 //! printed either way.
@@ -141,8 +143,9 @@ impl CacheSummary {
 
 /// Runs the shared figure suite as a `figure-suite` request against an
 /// in-process resident [`Service`] carrying `cache_file`: schedules are
-/// warm-started from the file and merge-published back, so repeated runs —
-/// and any other process pointed at the same file — reuse them.
+/// warm-started from the file and merge-published back when the service
+/// holds schedules the file lacks, so repeated runs — and any other process
+/// pointed at the same file — reuse them.
 fn run_suite_through_service(cache_file: &std::path::Path) -> (Vec<String>, CacheSummary) {
     let service = Service::new(ServeOptions {
         cache_file: Some(cache_file.to_path_buf()),

@@ -20,9 +20,10 @@
 //! driver script over a pipe). With `--socket` it listens on a Unix domain
 //! socket and serves every connection concurrently against the shared
 //! caches. With `--cache` the schedule cache is warm-started from the file
-//! at startup and merge-published back on shutdown (and on every
-//! `cache-publish` request), so warm plans survive across daemon restarts
-//! and are shared with `shard-worker` processes.
+//! at startup, and on shutdown (and on every `cache-publish` request) it
+//! merge-publishes back when it holds schedules the file lacks, so warm
+//! plans survive across daemon restarts and are shared with `shard-worker`
+//! processes. A daemon that scheduled nothing new leaves the file untouched.
 //!
 //! Beyond the built-in request kinds, this binary answers
 //! `{"kind":"figure-suite","figures":["fig04","fig08","fig09","fig11"]}`:
@@ -37,8 +38,8 @@
 //! `--deadline-ms MS` applies a default deadline to requests that carry
 //! none; deadline-exceeded simulations answer `status:"timeout"`. On
 //! SIGTERM (unix) the daemon **drains gracefully**: it stops accepting,
-//! lets in-flight requests finish, merge-publishes the warm schedule cache,
-//! and exits cleanly.
+//! lets in-flight requests finish, merge-publishes the warm schedule cache
+//! when it holds schedules the file lacks, and exits cleanly.
 
 use std::io::BufReader;
 use std::path::PathBuf;

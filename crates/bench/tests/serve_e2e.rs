@@ -103,6 +103,91 @@ fn orchestrated_campaign_sweeps_are_bit_identical_to_runner_execute() {
     }
 }
 
+/// A 2-shard cost-balanced orchestrator whose workers share `cache_file`.
+fn cached_orchestrator(scratch: &Scratch, cache_file: PathBuf) -> Orchestrator {
+    let mut options = OrchestratorOptions::new(WORKER);
+    options.work_dir = scratch.path("work");
+    options.cache_file = Some(cache_file);
+    Orchestrator::new(options)
+}
+
+/// The bytes and modification time of a file.
+fn file_state(path: &std::path::Path) -> (Vec<u8>, std::time::SystemTime) {
+    let modified = std::fs::metadata(path).unwrap().modified().unwrap();
+    (std::fs::read(path).unwrap(), modified)
+}
+
+/// Asserts no publish left its lock sentinel or temp file in `dir`.
+fn assert_no_publish_leftovers(dir: &std::path::Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(
+            !name.ends_with(".lock") && !name.contains(".tmp."),
+            "leftover `{name}`"
+        );
+    }
+}
+
+#[test]
+fn a_sweep_warm_from_a_full_cache_file_leaves_it_untouched() {
+    let specs = campaign_specs();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let scratch = Scratch::new("warm-sweep");
+    let cache = scratch.path("schedules.json");
+    let plan = SimPlanCache::new();
+    Runner::sequential()
+        .execute_with_cache(&specs, &plan)
+        .unwrap();
+    plan.schedules().publish_to_file(&cache).unwrap();
+    let before = file_state(&cache);
+
+    // Every worker finds each of its schedules in the file, so neither has
+    // anything to merge back: the file keeps its bytes and its mtime.
+    let outcome = cached_orchestrator(&scratch, cache.clone())
+        .run_campaign(&specs)
+        .unwrap();
+    assert_eq!(outcome.merged.campaign(), Some(&reference));
+    assert_eq!(outcome.retries(), 0);
+    assert_eq!(outcome.merged.cache().misses, 0);
+    assert!(outcome.merged.cache().hits > 0);
+    assert!(
+        file_state(&cache) == before,
+        "the warm sweep rewrote the file"
+    );
+    assert_no_publish_leftovers(&scratch.0);
+}
+
+#[test]
+fn a_sweep_without_its_cache_file_creates_one_holding_every_schedule() {
+    let specs = campaign_specs();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let plan = SimPlanCache::new();
+    Runner::sequential()
+        .execute_with_cache(&specs, &plan)
+        .unwrap();
+    let scratch = Scratch::new("cold-sweep");
+    let cache = scratch.path("schedules.json");
+
+    // Both workers publish what they scheduled to a file that does not
+    // exist yet; whichever comes second merges the first one's entries.
+    let outcome = cached_orchestrator(&scratch, cache.clone())
+        .run_campaign(&specs)
+        .unwrap();
+    assert_eq!(outcome.merged.campaign(), Some(&reference));
+    assert_eq!(outcome.retries(), 0);
+    assert!(matches!(
+        themis::core::durable::read_verified(&cache).unwrap(),
+        themis::core::durable::VerifiedRead::Clean(_)
+    ));
+    let published = ScheduleCache::new();
+    assert_eq!(
+        published.load_from_file(&cache).unwrap(),
+        plan.schedules().len()
+    );
+    assert_eq!(published.dump(), plan.schedules().dump());
+    assert_no_publish_leftovers(&scratch.0);
+}
+
 #[test]
 fn orchestrated_stream_sweeps_are_bit_identical_to_runner_execute_streams() {
     let specs = stream_specs();
@@ -318,6 +403,7 @@ fn a_daemon_restarted_on_its_published_cache_file_hits_schedules_at_once() {
     assert_eq!(campaign_result(&first.request(&line)), reference);
     // A clean shutdown publishes the warm schedule cache to the file.
     first.shutdown();
+    let published = file_state(&cache);
 
     // The restarted daemon loads the file at startup, so its very first
     // request finds every schedule there.
@@ -326,7 +412,13 @@ fn a_daemon_restarted_on_its_published_cache_file_hits_schedules_at_once() {
     assert_eq!(campaign_result(&response), reference);
     assert!(cache_delta(&response, "schedules", "hits") > 0);
     assert_eq!(cache_delta(&response, "schedules", "misses"), 0);
+    // It scheduled nothing the file lacks, so its shutdown publish leaves
+    // the file as it was.
     restarted.shutdown();
+    assert!(
+        file_state(&cache) == published,
+        "the restart rewrote the file"
+    );
 }
 
 #[test]

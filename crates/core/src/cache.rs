@@ -93,10 +93,32 @@ impl ScheduleKey {
 /// ```
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    schedules: Mutex<HashMap<ScheduleKey, Arc<CollectiveSchedule>>>,
+    schedules: Mutex<Entries>,
     splits: Mutex<SplitMap>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The cached schedules, and which sealed cache-file body they equal.
+#[derive(Debug, Default)]
+struct Entries {
+    map: HashMap<ScheduleKey, Arc<CollectiveSchedule>>,
+    /// The file body `map` equals, if known. Set by a load of a verified
+    /// file into an empty cache and by every publish that writes; dropped by
+    /// `clear()`. Entries are only ever added between clears, so `map` still
+    /// equals the body while its length equals the recorded count.
+    file: Option<FileBody>,
+    /// `clear()` calls so far: a publish records the body it wrote only if
+    /// no clear ran after it took its snapshot.
+    clears: u64,
+}
+
+/// A sealed cache-file body: its entry count and the checksum its trailer
+/// records.
+#[derive(Debug, Clone, Copy)]
+struct FileBody {
+    entries: usize,
+    checksum: u64,
 }
 
 impl ScheduleCache {
@@ -131,6 +153,7 @@ impl ScheduleCache {
             .schedules
             .lock()
             .expect("schedule cache lock is never poisoned")
+            .map
             .get(&key)
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -145,6 +168,7 @@ impl ScheduleCache {
             self.schedules
                 .lock()
                 .expect("schedule cache lock is never poisoned")
+                .map
                 .entry(key)
                 .or_insert(schedule),
         ))
@@ -179,6 +203,7 @@ impl ScheduleCache {
                 .schedules
                 .lock()
                 .expect("schedule cache lock is never poisoned")
+                .map
                 .get(&sibling_key)
                 .cloned();
             if let Some(sibling_schedule) = cached {
@@ -247,6 +272,7 @@ impl ScheduleCache {
         self.schedules
             .lock()
             .expect("schedule cache lock is never poisoned")
+            .map
             .len()
     }
 
@@ -284,13 +310,24 @@ impl ScheduleCache {
     /// # }
     /// ```
     pub fn dump(&self) -> String {
-        let mut entries: Vec<(ScheduleKey, Arc<CollectiveSchedule>)> = self
-            .schedules
-            .lock()
-            .expect("schedule cache lock is never poisoned")
-            .iter()
-            .map(|(key, schedule)| (*key, Arc::clone(schedule)))
-            .collect();
+        self.dump_counted().0
+    }
+
+    /// [`ScheduleCache::dump`], plus the number of entries dumped and the
+    /// `clear()` count, both read under the schedules lock.
+    fn dump_counted(&self) -> (String, usize, u64) {
+        let (mut entries, clears) = {
+            let schedules = self
+                .schedules
+                .lock()
+                .expect("schedule cache lock is never poisoned");
+            let entries: Vec<(ScheduleKey, Arc<CollectiveSchedule>)> = schedules
+                .map
+                .iter()
+                .map(|(key, schedule)| (*key, Arc::clone(schedule)))
+                .collect();
+            (entries, schedules.clears)
+        };
         entries.sort_by(|(a, _), (b, _)| {
             (
                 a.topology_fingerprint,
@@ -307,7 +344,7 @@ impl ScheduleCache {
                     b.scheduler.label(),
                 ))
         });
-        Json::obj([
+        let body = Json::obj([
             ("version", Json::Num(1.0)),
             ("kind", Json::Str("schedule-cache".to_string())),
             (
@@ -320,7 +357,8 @@ impl ScheduleCache {
                 ),
             ),
         ])
-        .render()
+        .render();
+        (body, entries.len(), clears)
     }
 
     /// Loads a dump previously produced by [`ScheduleCache::dump`], merging
@@ -334,6 +372,14 @@ impl ScheduleCache {
     /// Returns [`ScheduleError::Serialization`] on malformed text, an unknown
     /// layout version, or unknown scheduler/collective/policy labels.
     pub fn load(&self, text: &str) -> Result<usize, ScheduleError> {
+        self.load_body(text, None)
+    }
+
+    /// [`ScheduleCache::load`]. With the `checksum` of the verified file
+    /// `text` came from, the file is recorded as the body this cache equals
+    /// when the cache was empty: every entry it then holds came from the
+    /// file.
+    fn load_body(&self, text: &str, checksum: Option<u64>) -> Result<usize, ScheduleError> {
         let value = Json::parse(text)?;
         let version = value.field("version")?.as_usize()?;
         let kind = value.field("kind")?.as_str()?;
@@ -352,10 +398,14 @@ impl ScheduleCache {
             .lock()
             .expect("schedule cache lock is never poisoned");
         for (key, schedule) in parsed {
-            schedules.entry(key).or_insert_with(|| {
+            schedules.map.entry(key).or_insert_with(|| {
                 inserted += 1;
                 Arc::new(schedule)
             });
+        }
+        let entries = schedules.map.len();
+        if let Some(checksum) = checksum.filter(|_| entries == inserted) {
+            schedules.file = Some(FileBody { entries, checksum });
         }
         Ok(inserted)
     }
@@ -377,9 +427,11 @@ impl ScheduleCache {
     ///
     /// Returns [`ScheduleError::Io`] when the file exists but cannot be read.
     pub fn load_from_file(&self, path: &Path) -> Result<usize, ScheduleError> {
-        let body = match durable::read_verified(path).map_err(|err| ScheduleError::Io {
-            reason: format!("cannot read `{}`: {err}", path.display()),
-        })? {
+        let (read, checksum) =
+            durable::read_checksummed(path).map_err(|err| ScheduleError::Io {
+                reason: format!("cannot read `{}`: {err}", path.display()),
+            })?;
+        let body = match read {
             VerifiedRead::Missing => return Ok(0),
             VerifiedRead::Clean(body) | VerifiedRead::Legacy(body) => body,
             VerifiedRead::Corrupt { reason } => {
@@ -389,7 +441,7 @@ impl ScheduleCache {
                 return Ok(0);
             }
         };
-        match self.load(&body) {
+        match self.load_body(&body, checksum) {
             Ok(inserted) => Ok(inserted),
             Err(ScheduleError::Serialization { reason }) => {
                 // The checksum matched (or the file predates checksums) but
@@ -401,7 +453,8 @@ impl ScheduleCache {
         }
     }
 
-    /// Publishes this cache's schedules to a shared cache file with
+    /// Publishes this cache's schedules to a shared cache file. It
+    /// merge-publishes when it holds schedules the file lacks, with
     /// **merge-on-write** semantics: the file is locked (via a `<path>.lock`
     /// sentinel), its current entries are merged into this cache, and the
     /// union is written back atomically (temp file + rename). Concurrent
@@ -413,6 +466,19 @@ impl ScheduleCache {
     /// holds the union and the file holds the same union. Entries already
     /// present keep their in-memory `Arc`s; the hit/miss counters are
     /// untouched. Returns the number of entries in the published union.
+    ///
+    /// A publish with nothing to merge writes nothing. The cache remembers
+    /// the sealed file body its entries last equalled: the verified file
+    /// [`ScheduleCache::load_from_file`] loaded into it while it was empty,
+    /// or the file a publish last wrote. While the cache has gained no entry
+    /// since, and `path` still verifies clean with that body's checksum, the
+    /// file already holds the union the merge would write (byte for byte
+    /// when a publish wrote it, as the dump is deterministic), so the
+    /// publish returns at once: no lock, no parse, no write. Every other
+    /// state takes the merge path: entries added, the file changed, missing,
+    /// torn or unsealed, or the cache [`cleared`](ScheduleCache::clear). The
+    /// process-wide counters `cache.publish_written` and
+    /// `cache.publish_skipped` count the two outcomes.
     ///
     /// The written file is sealed with a checksum trailer and landed by
     /// [`durable::write_atomic`], so a publisher killed mid-write leaves
@@ -426,13 +492,48 @@ impl ScheduleCache {
     /// Returns [`ScheduleError::Io`] when the lock cannot be acquired within
     /// its bounded wait or the file cannot be read/written.
     pub fn publish_to_file(&self, path: &Path) -> Result<usize, ScheduleError> {
+        if let Some(entries) = self.already_in(path) {
+            crate::telemetry::global()
+                .counter("cache.publish_skipped")
+                .inc();
+            return Ok(entries);
+        }
         let _lock = DumpFileLock::acquire(path)?;
         self.load_from_file(path)?;
-        let dump = self.dump();
-        durable::write_atomic(path, &dump).map_err(|err| ScheduleError::Io {
+        let (dump, entries, clears) = self.dump_counted();
+        let checksum = durable::write_atomic(path, &dump).map_err(|err| ScheduleError::Io {
             reason: format!("cannot write `{}`: {err}", path.display()),
         })?;
-        Ok(self.len())
+        let mut schedules = self
+            .schedules
+            .lock()
+            .expect("schedule cache lock is never poisoned");
+        if schedules.clears == clears {
+            schedules.file = Some(FileBody { entries, checksum });
+        }
+        drop(schedules);
+        crate::telemetry::global()
+            .counter("cache.publish_written")
+            .inc();
+        Ok(entries)
+    }
+
+    /// The entry count, when this cache has gained no entry since it last
+    /// equalled a sealed file body and `path` still verifies clean with that
+    /// body's checksum: the file then holds every entry a publish would
+    /// write. A file that cannot be read is left to the merge path.
+    fn already_in(&self, path: &Path) -> Option<usize> {
+        let body = {
+            let schedules = self
+                .schedules
+                .lock()
+                .expect("schedule cache lock is never poisoned");
+            schedules
+                .file
+                .filter(|body| body.entries == schedules.map.len())?
+        };
+        let (_, checksum) = durable::read_checksummed(path).ok()?;
+        (checksum == Some(body.checksum)).then_some(body.entries)
     }
 
     /// Merges several cache dumps into one, without touching any file: the
@@ -456,12 +557,17 @@ impl ScheduleCache {
     }
 
     /// Drops every cached schedule and split (the hit/miss counters keep
-    /// counting).
+    /// counting), and with them the record of the file body the cache
+    /// equalled, so the next [`ScheduleCache::publish_to_file`] merges.
     pub fn clear(&self) {
-        self.schedules
+        let mut schedules = self
+            .schedules
             .lock()
-            .expect("schedule cache lock is never poisoned")
-            .clear();
+            .expect("schedule cache lock is never poisoned");
+        schedules.map.clear();
+        schedules.file = None;
+        schedules.clears += 1;
+        drop(schedules);
         self.splits
             .lock()
             .expect("split cache lock is never poisoned")
@@ -478,10 +584,12 @@ struct DumpFileLock {
 }
 
 impl DumpFileLock {
-    /// How long between acquisition attempts.
-    const RETRY: Duration = Duration::from_millis(25);
+    /// How long between acquisition attempts: an uncontended publish holds
+    /// the lock for tens of milliseconds, so a waiter polls often enough to
+    /// take it within about a millisecond of its release.
+    const RETRY: Duration = Duration::from_millis(1);
     /// Attempts before giving up (bounded wait of ~5 s total).
-    const ATTEMPTS: u32 = 200;
+    const ATTEMPTS: u32 = 5_000;
     /// Age after which a sentinel is considered abandoned and broken.
     const STALE: Duration = Duration::from_secs(30);
 
@@ -947,6 +1055,12 @@ mod tests {
     /// Builds a cache holding one schedule per given size.
     fn cache_with_sizes(sizes: &[f64]) -> ScheduleCache {
         let cache = ScheduleCache::new();
+        schedule_sizes(&cache, sizes);
+        cache
+    }
+
+    /// Adds one schedule per given size to `cache`.
+    fn schedule_sizes(cache: &ScheduleCache, sizes: &[f64]) {
         let topo = PresetTopology::Sw2d.build();
         for &mib in sizes {
             let request = CollectiveRequest::all_reduce_mib(mib);
@@ -954,7 +1068,15 @@ mod tests {
                 .get_or_schedule(&topo, &request, 8, SchedulerKind::ThemisScf)
                 .unwrap();
         }
-        cache
+    }
+
+    /// Cuts the body of a sealed file in half but keeps its checksum trailer,
+    /// exactly what a killed non-atomic writer would leave behind.
+    fn tear(path: &Path) {
+        let sealed = std::fs::read_to_string(path).unwrap();
+        let trailer_at = sealed.rfind(durable::TRAILER_PREFIX).unwrap();
+        let torn = format!("{}{}", &sealed[..trailer_at / 2], &sealed[trailer_at..]);
+        std::fs::write(path, torn).unwrap();
     }
 
     #[test]
@@ -991,6 +1113,17 @@ mod tests {
         assert_eq!(a.publish_to_file(&path).unwrap(), 2);
         let b = cache_with_sizes(&[32.0, 64.0]);
         assert_eq!(b.publish_to_file(&path).unwrap(), 3);
+        // `b` wrote the file and has gained nothing since: its next publish
+        // has nothing to merge, so it returns at once even while another
+        // publisher holds the lock, and leaves the file as it is.
+        let written = std::fs::read(&path).unwrap();
+        let lock = dir.file("schedules.json.lock");
+        std::fs::write(&lock, "alive").unwrap();
+        let started = std::time::Instant::now();
+        assert_eq!(b.publish_to_file(&path).unwrap(), 3);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        std::fs::remove_file(&lock).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), written);
 
         let merged = ScheduleCache::new();
         assert_eq!(merged.load_from_file(&path).unwrap(), 3);
@@ -1009,6 +1142,38 @@ mod tests {
         }
         // The lock sentinel was released.
         assert!(!dir.file("schedules.json.lock").exists());
+
+        // `a` has gained nothing since its publish either, but `b` changed
+        // the file: the publish merges and both hold the union.
+        assert_eq!(a.publish_to_file(&path).unwrap(), 3);
+        assert_eq!(a.len(), 3);
+        // The same for a cache loaded from the file, when another publisher
+        // adds an entry after the load.
+        let loaded = ScheduleCache::new();
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 3);
+        assert_eq!(
+            cache_with_sizes(&[128.0]).publish_to_file(&path).unwrap(),
+            4
+        );
+        assert_eq!(loaded.publish_to_file(&path).unwrap(), 4);
+        assert_eq!(loaded.len(), 4);
+        assert_eq!(ScheduleCache::new().load_from_file(&path).unwrap(), 4);
+
+        // After `clear()` and as many new entries as before, the entry count
+        // matches the file's again, but the cache no longer equals the file:
+        // the publish merges.
+        loaded.clear();
+        schedule_sizes(&loaded, &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(loaded.len(), 4);
+        assert_eq!(loaded.publish_to_file(&path).unwrap(), 8);
+        assert_eq!(ScheduleCache::new().load_from_file(&path).unwrap(), 8);
+
+        // A cache that held an entry of its own before loading the file does
+        // not equal it: the publish merges that entry in.
+        let own = cache_with_sizes(&[256.0]);
+        assert_eq!(own.load_from_file(&path).unwrap(), 8);
+        assert_eq!(own.publish_to_file(&path).unwrap(), 9);
+        assert_eq!(ScheduleCache::new().load_from_file(&path).unwrap(), 9);
     }
 
     #[test]
@@ -1033,19 +1198,31 @@ mod tests {
         cache_with_sizes(&[16.0, 32.0])
             .publish_to_file(&path)
             .unwrap();
-
-        // Tear the file: drop half the body but keep the checksum trailer,
-        // exactly what a killed non-atomic writer would leave behind.
         let sealed = std::fs::read_to_string(&path).unwrap();
-        let trailer_at = sealed.rfind(durable::TRAILER_PREFIX).unwrap();
-        let torn = format!("{}{}", &sealed[..trailer_at / 2], &sealed[trailer_at..]);
-        std::fs::write(&path, torn).unwrap();
 
-        // The next load detects the tear, quarantines, and cold-starts.
+        // A cache loaded before the file was deleted has nothing to add, but
+        // the publish recreates the file.
+        let loaded = ScheduleCache::new();
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 2);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.publish_to_file(&path).unwrap(), 2);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), sealed);
+        // One loaded before the file was torn: the file no longer verifies,
+        // so the publish quarantines it and rebuilds it from the cache.
+        let loaded = ScheduleCache::new();
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 2);
+        tear(&path);
+        assert_eq!(loaded.publish_to_file(&path).unwrap(), 2);
+        assert!(dir.file("schedules.json.corrupt-0").exists());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), sealed);
+
+        // The next load of a torn file detects the tear, quarantines, and
+        // cold-starts.
+        tear(&path);
         let cache = ScheduleCache::new();
         assert_eq!(cache.load_from_file(&path).unwrap(), 0);
         assert!(!path.exists());
-        assert!(dir.file("schedules.json.corrupt-0").exists());
+        assert!(dir.file("schedules.json.corrupt-1").exists());
 
         // A publish over the quarantined path rebuilds a verifiable file.
         cache_with_sizes(&[64.0]).publish_to_file(&path).unwrap();
@@ -1068,6 +1245,13 @@ mod tests {
         let cache = ScheduleCache::new();
         assert_eq!(cache.load_from_file(&path).unwrap(), 1);
         assert!(path.exists());
+        // The cache has nothing to add, but an unsealed file is rewritten
+        // sealed.
+        assert_eq!(cache.publish_to_file(&path).unwrap(), 1);
+        match durable::read_verified(&path).unwrap() {
+            VerifiedRead::Clean(body) => assert_eq!(body.trim_end_matches('\n'), warm.dump()),
+            other => panic!("the publish should seal the file, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1116,6 +1300,13 @@ mod tests {
     #[test]
     fn fresh_locks_are_not_taken_over() {
         let dir = TempDir::new("fresh-lock");
+        let path = dir.file("schedules.json");
+        cache_with_sizes(&[16.0, 32.0])
+            .publish_to_file(&path)
+            .unwrap();
+        let sealed = std::fs::read(&path).unwrap();
+        let loaded = ScheduleCache::new();
+        assert_eq!(loaded.load_from_file(&path).unwrap(), 2);
         let lock = dir.file("schedules.json.lock");
         std::fs::write(&lock, "alive").unwrap();
         let takeovers_before = crate::telemetry::global()
@@ -1131,6 +1322,14 @@ mod tests {
                 .get(),
             takeovers_before
         );
+        // A cache loaded from the file with nothing new publishes without
+        // the lock: it returns the entry count at once and the file's bytes
+        // stay as they were.
+        let started = std::time::Instant::now();
+        assert_eq!(loaded.publish_to_file(&path).unwrap(), 2);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
+        assert!(lock.exists());
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   (no trailer — files written before checksumming existed stay readable),
 //!   or corrupt (trailer present but the body does not hash to it, or the
 //!   trailer itself is mangled — the torn-write signature).
+//!   [`read_checksummed`] also returns a clean file's checksum, the one
+//!   [`write_atomic`] returned when it wrote the body, so a caller can tell
+//!   whether a file still holds a body it read or wrote before.
 //! * [`quarantine`] moves a corrupt file aside to `<path>.corrupt-<n>`
 //!   (never deleting evidence), bumps the process-wide
 //!   `cache.corrupt_quarantined` counter and logs a structured event, so the
@@ -47,6 +50,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// `body` with the checksum trailer appended (a trailing newline is added to
 /// the body if missing, so the trailer always sits on its own line).
 pub fn seal(body: &str) -> String {
+    seal_checksummed(body).0
+}
+
+/// [`seal`], plus the checksum the trailer records.
+fn seal_checksummed(body: &str) -> (String, u64) {
     let mut sealed = String::with_capacity(body.len() + TRAILER_PREFIX.len() + 32);
     sealed.push_str(body);
     if !sealed.ends_with('\n') {
@@ -55,7 +63,7 @@ pub fn seal(body: &str) -> String {
     let hash = fnv1a(sealed.as_bytes());
     let len = sealed.len();
     sealed.push_str(&format!("{TRAILER_PREFIX}{hash:016x}:{len}\n"));
-    sealed
+    (sealed, hash)
 }
 
 /// The classification of a [`read_verified`] file.
@@ -80,20 +88,23 @@ pub enum VerifiedRead {
 /// Seals `body` with a checksum trailer and writes it to `path` atomically:
 /// a temp file in the same directory (pid-suffixed, so concurrent writers
 /// never collide) followed by a `rename`. Readers observe either the old
-/// complete file or the new complete file, never a torn one.
+/// complete file or the new complete file, never a torn one. Returns the
+/// checksum the trailer records, which [`read_checksummed`] reports for the
+/// file for as long as it holds this body.
 ///
 /// # Errors
 ///
 /// Any IO error creating, writing or renaming the temp file.
-pub fn write_atomic(path: &Path, body: &str) -> io::Result<()> {
+pub fn write_atomic(path: &Path, body: &str) -> io::Result<u64> {
     let file_name = path
         .file_name()
         .map(|name| name.to_string_lossy().into_owned())
         .unwrap_or_else(|| "durable".to_string());
     let tmp = path.with_file_name(format!("{file_name}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, seal(body))?;
+    let (sealed, checksum) = seal_checksummed(body);
+    std::fs::write(&tmp, sealed)?;
     match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
+        Ok(()) => Ok(checksum),
         Err(err) => {
             let _ = std::fs::remove_file(&tmp);
             Err(err)
@@ -110,17 +121,38 @@ pub fn write_atomic(path: &Path, body: &str) -> io::Result<()> {
 ///
 /// Any IO error other than the file not existing (which maps to `Missing`).
 pub fn read_verified(path: &Path) -> io::Result<VerifiedRead> {
+    Ok(read_checksummed(path)?.0)
+}
+
+/// [`read_verified`], plus the checksum of a [`VerifiedRead::Clean`] file:
+/// the FNV-1a hash its trailer records, as [`write_atomic`] returned it. A
+/// caller that kept the checksum of a body can so tell whether a file still
+/// holds that body without hashing it a second time. The checksum is `None`
+/// for every other classification.
+///
+/// # Errors
+///
+/// As [`read_verified`].
+pub fn read_checksummed(path: &Path) -> io::Result<(VerifiedRead, Option<u64>)> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
-        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(VerifiedRead::Missing),
+        Err(err) if err.kind() == io::ErrorKind::NotFound => {
+            return Ok((VerifiedRead::Missing, None))
+        }
         Err(err) => return Err(err),
     };
-    Ok(verify(&text))
+    Ok(verify_checksummed(&text))
 }
 
 /// The pure verification half of [`read_verified`], usable on bytes already
 /// in memory.
 pub fn verify(text: &str) -> VerifiedRead {
+    verify_checksummed(text).0
+}
+
+/// [`verify`], plus the checksum of a clean body.
+fn verify_checksummed(text: &str) -> (VerifiedRead, Option<u64>) {
+    let corrupt = |reason: String| (VerifiedRead::Corrupt { reason }, None);
     // The trailer is the last non-empty line; anything before it is the body.
     let trimmed = text.trim_end_matches('\n');
     let (body_end, last_line) = match trimmed.rfind('\n') {
@@ -132,41 +164,33 @@ pub fn verify(text: &str) -> VerifiedRead {
         // the truncation ate the body's final newline, gluing the trailer to a
         // partial line. Never mistake that for a legacy (pre-checksum) file.
         if last_line.contains(TRAILER_PREFIX) {
-            return VerifiedRead::Corrupt {
-                reason: "checksum trailer glued to a truncated body".to_string(),
-            };
+            return corrupt("checksum trailer glued to a truncated body".to_string());
         }
-        return VerifiedRead::Legacy(text.to_string());
+        return (VerifiedRead::Legacy(text.to_string()), None);
     };
     let mut parts = trailer.split(':');
     let (Some(hash_hex), Some(len_text), None) = (parts.next(), parts.next(), parts.next()) else {
-        return VerifiedRead::Corrupt {
-            reason: "malformed checksum trailer".to_string(),
-        };
+        return corrupt("malformed checksum trailer".to_string());
     };
     let (Ok(expected_hash), Ok(expected_len)) =
         (u64::from_str_radix(hash_hex, 16), len_text.parse::<usize>())
     else {
-        return VerifiedRead::Corrupt {
-            reason: "unparseable checksum trailer".to_string(),
-        };
+        return corrupt("unparseable checksum trailer".to_string());
     };
     let body = &text[..body_end];
     if body.len() != expected_len {
-        return VerifiedRead::Corrupt {
-            reason: format!(
-                "length mismatch: trailer says {expected_len} bytes, body has {}",
-                body.len()
-            ),
-        };
+        return corrupt(format!(
+            "length mismatch: trailer says {expected_len} bytes, body has {}",
+            body.len()
+        ));
     }
     let actual = fnv1a(body.as_bytes());
     if actual != expected_hash {
-        return VerifiedRead::Corrupt {
-            reason: format!("checksum mismatch: trailer {expected_hash:016x}, body {actual:016x}"),
-        };
+        return corrupt(format!(
+            "checksum mismatch: trailer {expected_hash:016x}, body {actual:016x}"
+        ));
     }
-    VerifiedRead::Clean(body.to_string())
+    (VerifiedRead::Clean(body.to_string()), Some(actual))
 }
 
 /// Moves a corrupt file aside to the first free `<path>.corrupt-<n>`,
@@ -241,11 +265,22 @@ mod tests {
     fn sealed_files_round_trip_clean() {
         let dir = TempDir::new("roundtrip");
         let path = dir.file("data.json");
-        write_atomic(&path, "{\"x\":1}").unwrap();
+        let checksum = write_atomic(&path, "{\"x\":1}").unwrap();
         match read_verified(&path).unwrap() {
             VerifiedRead::Clean(body) => assert_eq!(body, "{\"x\":1}\n"),
             other => panic!("expected Clean, got {other:?}"),
         }
+        // The checksum the write returned is the one the read reports: the
+        // hash of the body, newline included.
+        assert_eq!(checksum, fnv1a(b"{\"x\":1}\n"));
+        assert_eq!(read_checksummed(&path).unwrap().1, Some(checksum));
+        // Only a clean file has one.
+        std::fs::write(&path, "{\"x\":1}\n").unwrap();
+        assert_eq!(read_checksummed(&path).unwrap().1, None);
+        assert_eq!(
+            read_checksummed(&dir.file("nope.json")).unwrap(),
+            (VerifiedRead::Missing, None)
+        );
     }
 
     #[test]
@@ -279,8 +314,8 @@ mod tests {
         let torn = format!("{}{}", &sealed[..trailer_at / 2], &sealed[trailer_at..]);
         std::fs::write(&path, torn).unwrap();
         assert!(matches!(
-            read_verified(&path).unwrap(),
-            VerifiedRead::Corrupt { .. }
+            read_checksummed(&path).unwrap(),
+            (VerifiedRead::Corrupt { .. }, None)
         ));
     }
 

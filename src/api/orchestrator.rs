@@ -77,8 +77,10 @@ pub struct OrchestratorOptions {
     /// on success unless [`Self::keep_files`] is set.
     pub work_dir: PathBuf,
     /// Schedule-cache file handed to every worker (`--cache`): workers
-    /// warm-start from it and merge-publish back into it, so schedules
-    /// survive across processes and sweeps.
+    /// warm-start from it and merge-publish back into it when they hold
+    /// schedules the file lacks, so schedules survive across processes and
+    /// sweeps. A sweep whose workers all find every schedule in the file
+    /// leaves it untouched.
     pub cache_file: Option<PathBuf>,
     /// Deterministic failure injection: `(shard_index, after_cells)` pairs.
     /// The **first** attempt of each listed shard runs with

@@ -42,7 +42,7 @@
 //! | `shard`         | `spec: <shard-spec JSON>`                | the [`crate::api::ShardReport`] |
 //! | `sweep`         | campaign/stream cells + orchestration    | a merged multi-process sweep ([`crate::api::orchestrator`]) |
 //! | `cache-stats`   | —                                        | cumulative cache counters |
-//! | `cache-publish` | `path` (optional)                        | merge-publishes the schedule cache to its file |
+//! | `cache-publish` | `path` (optional)                        | merge-publishes the schedule cache to its file when it holds schedules the file lacks; the count of published schedules |
 //! | `metrics`       | —                                        | telemetry snapshot (JSON + Prometheus text) |
 //! | `shutdown`      | —                                        | acknowledges, then the serve loop exits |
 //!
@@ -125,8 +125,9 @@ pub struct ServeOptions {
     /// disables orchestrated sweeps (they answer with an error response).
     pub worker: Option<PathBuf>,
     /// Schedule-cache file shared across processes: loaded by
-    /// [`Service::load_cache_file`] at startup, merge-published by
-    /// [`Service::publish_cache_file`] (and the `cache-publish` request).
+    /// [`Service::load_cache_file`] at startup; [`Service::publish_cache_file`]
+    /// (and the `cache-publish` request) merge-publishes to it when the
+    /// service holds schedules the file lacks.
     pub cache_file: Option<PathBuf>,
     /// Scratch directory for orchestrated sweeps (spec/partial/progress
     /// files).
@@ -297,9 +298,11 @@ impl Service {
     }
 
     /// Merge-publishes the schedule cache to [`ServeOptions::cache_file`]
+    /// when it holds schedules the file lacks
     /// ([`themis_core::ScheduleCache::publish_to_file`] — concurrent
-    /// publishers never lose entries). Returns the number of published
-    /// schedules, or 0 when no cache file is configured.
+    /// publishers never lose entries, and a cache with nothing to add writes
+    /// nothing). Returns the number of published schedules, or 0 when no
+    /// cache file is configured.
     ///
     /// # Errors
     ///
@@ -798,7 +801,8 @@ impl Service {
     }
 
     /// Handles `cache-publish`: merge-publishes the schedule cache to the
-    /// request's `path` or the configured cache file.
+    /// request's `path` or the configured cache file when it holds schedules
+    /// the file lacks.
     fn handle_cache_publish(&self, request: &Json) -> Result<Json, ThemisError> {
         let published = match request.get("path") {
             Some(path) => self
@@ -833,9 +837,10 @@ impl Service {
     /// rates.
     fn handle_metrics(&self) -> Json {
         let snapshot = self.telemetry.snapshot();
-        // Corruption quarantines and lock takeovers happen inside
-        // `themis_core`, which only sees the process-wide registry — surface
-        // them here so one `metrics` request covers both layers.
+        // Corruption quarantines, lock takeovers and cache-file publishes
+        // happen inside `themis_core`, which only sees the process-wide
+        // registry — surface them here so one `metrics` request covers both
+        // layers.
         let global = themis_core::telemetry::global().snapshot();
         let totals = self.counters();
         Json::obj([
@@ -843,16 +848,15 @@ impl Service {
             ("prometheus", Json::Str(snapshot.to_prometheus())),
             (
                 "global",
-                Json::obj([
-                    (
+                Json::obj(
+                    [
                         "cache.corrupt_quarantined",
-                        Json::Num(global.counter("cache.corrupt_quarantined") as f64),
-                    ),
-                    (
                         "cache.lock_takeover",
-                        Json::Num(global.counter("cache.lock_takeover") as f64),
-                    ),
-                ]),
+                        "cache.publish_written",
+                        "cache.publish_skipped",
+                    ]
+                    .map(|name| (name, Json::Num(global.counter(name) as f64))),
+                ),
             ),
             ("caches", self.cache_stats_json()),
             (

@@ -105,9 +105,43 @@ fn service_answers_metrics_with_counters_and_prometheus_text() {
     };
     service.handle_line(&body());
     service.handle_line(&body());
+    // Two publishes of the same schedules to one file: the first writes it,
+    // the second has nothing to merge and is skipped. No other test in this
+    // binary publishes, so the process-wide counters move by one each.
+    let dir = std::env::temp_dir().join(format!("themis-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let publish = Json::obj([
+        ("id", Json::Num(2.0)),
+        ("kind", Json::Str("cache-publish".to_string())),
+        (
+            "path",
+            Json::Str(dir.join("schedules.json").display().to_string()),
+        ),
+    ])
+    .render();
+    let global = |response: &Json, name: &str| {
+        response
+            .field("result")
+            .unwrap()
+            .field("global")
+            .unwrap()
+            .field(name)
+            .unwrap()
+            .as_usize()
+            .unwrap()
+    };
+    let before = Json::parse(&service.handle_line(r#"{"id":8,"kind":"metrics"}"#)).unwrap();
+    for _ in 0..2 {
+        let published = Json::parse(&service.handle_line(&publish)).unwrap();
+        assert_eq!(published.field("status").unwrap().as_str().unwrap(), "ok");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 
     let response = Json::parse(&service.handle_line(r#"{"id":9,"kind":"metrics"}"#)).unwrap();
     assert_eq!(response.field("status").unwrap().as_str().unwrap(), "ok");
+    for name in ["cache.publish_written", "cache.publish_skipped"] {
+        assert_eq!(global(&response, name), global(&before, name) + 1, "{name}");
+    }
     let result = response.field("result").unwrap();
     let counters = result.field("snapshot").unwrap().field("counters").unwrap();
     assert_eq!(
@@ -127,8 +161,9 @@ fn service_answers_metrics_with_counters_and_prometheus_text() {
         .field("serve.latency_ns.campaign")
         .unwrap();
     assert_eq!(latency.field("count").unwrap().as_usize().unwrap(), 2);
-    // The codec phases around dispatch: the `metrics` request itself was
-    // parsed before the snapshot, but its response is rendered after it.
+    // The codec phases around dispatch: two campaigns, the first `metrics`
+    // and two publishes were parsed and answered; the last `metrics` request
+    // was parsed before the snapshot, but its response is rendered after it.
     let phase = |name: &str| {
         result
             .field("snapshot")
@@ -142,8 +177,8 @@ fn service_answers_metrics_with_counters_and_prometheus_text() {
             .as_usize()
             .unwrap()
     };
-    assert_eq!(phase("serve.phase_ns.parse"), 3);
-    assert_eq!(phase("serve.phase_ns.encode"), 2);
+    assert_eq!(phase("serve.phase_ns.parse"), 6);
+    assert_eq!(phase("serve.phase_ns.encode"), 5);
     let prometheus = result.field("prometheus").unwrap().as_str().unwrap();
     assert!(prometheus.contains("themis_serve_requests_campaign 2"));
     assert!(prometheus.contains("themis_serve_latency_ns_campaign_count 2"));
