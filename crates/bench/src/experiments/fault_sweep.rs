@@ -13,11 +13,13 @@
 //! * **transient flaps** — a link fails and recovers repeatedly; during an
 //!   outage the dimension stops issuing new operations.
 //!
-//! Two properties are asserted by the `bench-faults` gate and spot-checked by
-//! this module's tests: makespans degrade *gracefully* (a faulted run is
-//! never faster than the healthy run of the same scheduler), and Themis
-//! retains its advantage (Themis+SCF makespan ≤ Baseline makespan on every
-//! degraded cell).
+//! This module's tests assert two properties over the whole standard grid.
+//! Makespans degrade *gracefully*: a faulted run is never faster than the
+//! healthy run of the same scheduler. And Themis+SCF keeps its advantage
+//! (makespan ≤ Baseline) on every cell but one: with dimension 1 at ×0.25
+//! from t = 0 (`deg-d1-x0.25`), 16 chunks are too few for Algorithm 1's
+//! greedy, load-ordered dimension choice to balance a dimension slowed 4×,
+//! and Themis+SCF loses to Baseline by ~14 %.
 
 use crate::report::{Report, Table};
 use themis::api::{Job, Platform};
@@ -112,21 +114,6 @@ pub fn standard_scenarios() -> Vec<FaultScenario> {
     scenarios
 }
 
-/// A reduced suite for smoke/CI runs.
-pub fn smoke_scenarios() -> Vec<FaultScenario> {
-    let num_dims = fault_platform().topology().num_dims();
-    let mut scenarios = asymmetric_degradation(num_dims, &[0.5]);
-    scenarios.extend(midstream_degradation_grid(num_dims, &[0.5], &[500_000.0]));
-    scenarios.extend(transient_flaps(
-        num_dims,
-        250_000.0,
-        250_000.0,
-        1_000_000.0,
-        1,
-    ));
-    scenarios
-}
-
 /// Renders the fault-sweep experiment.
 pub fn run() -> Report {
     let mut report = Report::new("Fault sweep — scheduling under link degradation and failure");
@@ -164,16 +151,28 @@ pub fn run() -> Report {
 mod tests {
     use super::*;
 
+    /// The one cell of the standard grid where Themis+SCF loses to
+    /// Baseline. Dimension 1 runs at ×0.25 from t = 0, and Algorithm 1 picks
+    /// each chunk's dimension order greedily by accumulated load: 16 chunks
+    /// are too coarse to balance a dimension slowed 4×. Themis+SCF takes
+    /// ~960 µs against Baseline's ~842 µs here; with 64 chunks it takes
+    /// ~777 µs and wins.
+    const THEMIS_LOSES_ON: &str = "deg-d1-x0.25";
+
     #[test]
     fn themis_keeps_its_advantage_under_degradation() {
-        let cells = run_scenarios(&smoke_scenarios());
+        let cells = run_scenarios(&standard_scenarios());
         let healthy = &cells[0];
         assert_eq!(healthy.scenario, "healthy");
+        assert!(cells.iter().any(|cell| cell.scenario == THEMIS_LOSES_ON));
         for cell in &cells {
-            // Themis never loses to Baseline, healthy or faulted.
-            assert!(
-                cell.themis_ns <= cell.baseline_ns + 1e-6,
-                "{}: themis {} > baseline {}",
+            // Themis loses to Baseline on the named cell alone, healthy or
+            // faulted: a new losing cell fails here, and so does a fix.
+            let loses = cell.themis_ns > cell.baseline_ns + 1e-6;
+            assert_eq!(
+                loses,
+                cell.scenario == THEMIS_LOSES_ON,
+                "{}: themis {} vs baseline {}",
                 cell.scenario,
                 cell.themis_ns,
                 cell.baseline_ns

@@ -54,6 +54,27 @@ fn campaign_specs() -> Vec<RunSpec> {
         .unwrap()
 }
 
+/// Every scheduler kind on 2D-SW under a fault plan with a t = 0
+/// degradation, a mid-stream one and a flap. Fault plans ride in the
+/// platform-options JSON of each shard spec.
+fn faulted_specs() -> Vec<RunSpec> {
+    let plan = FaultPlan::new()
+        .degrade(0.0, 0, 0.75)
+        .degrade(300_000.0, 1, 0.5)
+        .fail(600_000.0, 0)
+        .recover(900_000.0, 0);
+    let platform = Platform::preset(PresetTopology::Sw2d).with_faults(plan);
+    SchedulerKind::all()
+        .into_iter()
+        .map(|kind| {
+            RunSpec::new(
+                platform.clone(),
+                Job::all_reduce_mib(32.0).chunks(8).scheduler(kind),
+            )
+        })
+        .collect()
+}
+
 fn stream_specs() -> Vec<StreamSpec> {
     let stream = StreamJob::named("pair")
         .push(QueuedCollective::all_reduce_mib("g2", 24.0))
@@ -736,7 +757,10 @@ fn a_shard_out_of_attempts_fails_the_sweep_only_after_the_running_workers_finish
 
 #[test]
 fn crashed_sweeps_resume_from_surviving_partial_reports() {
-    let specs = campaign_specs();
+    let specs: Vec<RunSpec> = campaign_specs()
+        .into_iter()
+        .chain(faulted_specs())
+        .collect();
     let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
     let scratch = Scratch::new("resume");
     let sweep = format!("resume-{}", std::process::id());
@@ -757,6 +781,7 @@ fn crashed_sweeps_resume_from_surviving_partial_reports() {
                 .exists()
         })
         .collect();
+    assert_eq!(survivors, [0], "shard 0 finishes before the sweep fails");
 
     // Second run under the same sweep id: every surviving partial is adopted
     // with zero attempts, and the merge is still bit-identical.
@@ -773,24 +798,9 @@ fn crashed_sweeps_resume_from_surviving_partial_reports() {
 
 #[test]
 fn faulted_sweeps_cross_the_process_boundary_bit_identically() {
-    // Fault plans ride in the platform-options JSON of each shard spec, so a
-    // multi-process sweep over faulted cells merges bit-identically to the
+    // A multi-process sweep over faulted cells merges bit-identically to the
     // in-process runner.
-    let plan = FaultPlan::new()
-        .degrade(0.0, 0, 0.75)
-        .degrade(300_000.0, 1, 0.5)
-        .fail(600_000.0, 0)
-        .recover(900_000.0, 0);
-    let platform = Platform::preset(PresetTopology::Sw2d).with_faults(plan);
-    let specs: Vec<RunSpec> = SchedulerKind::all()
-        .into_iter()
-        .map(|kind| {
-            RunSpec::new(
-                platform.clone(),
-                Job::all_reduce_mib(32.0).chunks(8).scheduler(kind),
-            )
-        })
-        .collect();
+    let specs = faulted_specs();
     let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
     let scratch = Scratch::new("faulted");
     let outcome = orchestrator(&scratch, 2, ShardStrategy::CostBalanced)

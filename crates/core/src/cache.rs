@@ -1178,6 +1178,7 @@ mod tests {
 
     #[test]
     fn load_from_file_treats_missing_files_as_cold_start() {
+        let _counters = crate::telemetry::global_counters_lock();
         let dir = TempDir::new("load");
         let cache = ScheduleCache::new();
         assert_eq!(cache.load_from_file(&dir.file("absent.json")).unwrap(), 0);
@@ -1193,6 +1194,7 @@ mod tests {
 
     #[test]
     fn torn_cache_files_are_quarantined_and_rebuilt() {
+        let _counters = crate::telemetry::global_counters_lock();
         let dir = TempDir::new("torn");
         let path = dir.file("schedules.json");
         cache_with_sizes(&[16.0, 32.0])
@@ -1273,6 +1275,7 @@ mod tests {
 
     #[test]
     fn stale_locks_are_broken() {
+        let _counters = crate::telemetry::global_counters_lock();
         let dir = TempDir::new("stale");
         let path = dir.file("schedules.json");
         let lock = dir.file("schedules.json.lock");
@@ -1299,6 +1302,7 @@ mod tests {
 
     #[test]
     fn fresh_locks_are_not_taken_over() {
+        let _counters = crate::telemetry::global_counters_lock();
         let dir = TempDir::new("fresh-lock");
         let path = dir.file("schedules.json");
         cache_with_sizes(&[16.0, 32.0])

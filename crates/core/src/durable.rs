@@ -347,6 +347,7 @@ mod tests {
 
     #[test]
     fn quarantine_moves_the_file_aside_and_counts() {
+        let _counters = telemetry::global_counters_lock();
         let dir = TempDir::new("quarantine");
         let path = dir.file("bad.json");
         std::fs::write(&path, "garbage").unwrap();

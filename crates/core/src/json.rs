@@ -465,6 +465,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn values_round_trip_through_text() {
@@ -623,16 +624,26 @@ mod tests {
         assert!(raw.get("x").is_none());
     }
 
-    /// Best-of-3 wall time to parse `text`.
-    fn parse_time(text: &str) -> std::time::Duration {
-        (0..3)
-            .map(|_| {
-                let started = std::time::Instant::now();
+    /// Best-of-5 wall times to parse `small` and `large` once each. Each
+    /// sample of `small` parses it back to back until it has parsed as many
+    /// bytes as `large`, then divides, so both samples span the same wall
+    /// time and a shorter window cannot catch a luckier best. The two
+    /// alternate, so a stretch of load on the host slows both alike.
+    fn parse_times(small: &str, large: &str) -> (Duration, Duration) {
+        let time = |text: &str, repeats: usize| {
+            let started = Instant::now();
+            for _ in 0..repeats {
                 assert!(Json::parse(text).is_ok());
-                started.elapsed()
-            })
-            .min()
-            .expect("three timings")
+            }
+            started.elapsed() / repeats as u32
+        };
+        let repeats = large.len().div_ceil(small.len());
+        let mut best = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            best.0 = best.0.min(time(small, repeats));
+            best.1 = best.1.min(time(large, 1));
+        }
+        best
     }
 
     #[test]
@@ -645,7 +656,7 @@ mod tests {
             ("plain", &plain as &dyn Fn(usize) -> String),
             ("escape-heavy", &escaped),
         ] {
-            let (small, large) = (parse_time(&make(MIB)), parse_time(&make(4 * MIB)));
+            let (small, large) = parse_times(&make(MIB), &make(4 * MIB));
             assert!(large.as_secs_f64() < 1.0, "{name}: 4 MiB took {large:?}");
             let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
             assert!(ratio <= 6.0, "{name}: 4 MiB / 1 MiB time ratio {ratio:.1}");

@@ -185,6 +185,18 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// Serialises the unit tests that move or assert a process-wide counter of
+/// [`global`] (`cache.corrupt_quarantined`, `cache.lock_takeover`). Tests
+/// run on parallel threads of one process, so an exact delta holds only
+/// while no other test moves the same counter. A test that panicked while
+/// holding the lock does not poison it for the rest.
+#[cfg(test)]
+pub(crate) fn global_counters_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A monotonically increasing counter handle (relaxed atomic adds).
 #[derive(Debug, Clone)]
 pub struct Counter {

@@ -19,7 +19,8 @@
 //!
 //! Every generator is a pure function of its arguments, so scenario lists
 //! are bit-stable across runs and processes — a requirement for the
-//! determinism gates in `bench-faults`.
+//! determinism tests over faulted runs (`tests/faults_api.rs`, and
+//! `crates/bench/tests/serve_e2e.rs` across processes).
 
 use themis_sim::FaultPlan;
 

@@ -9,9 +9,11 @@
 //!   single-job, stream and sharded execution alike.
 //! * **Faulted runs are deterministic.** The same fault plan produces the
 //!   same report across runner backends (sequential, parallel), cached and
-//!   uncached paths (cold, `ScheduleCache`, warm `SimPlanCache`), and the
-//!   JSON round trip to worker processes.
+//!   uncached paths (cold, `ScheduleCache`, warm `SimPlanCache`), the
+//!   service's JSON protocol, and the JSON round trip to worker processes.
 
+use themis::api::json::Json;
+use themis::api::serve::campaign_cells_to_json;
 use themis::api::shard::{merge_reports, ShardPlan, ShardReport, ShardSpec, ShardStrategy};
 use themis::prelude::*;
 
@@ -124,6 +126,22 @@ fn faulted_runs_are_deterministic_across_runner_backends_and_caches() {
         assert_eq!(cached, reference, "warm-plan pass {pass} diverged");
     }
     assert!(plan.cost_tables().hits() > 0);
+    // Through the service: fault plans survive the request's JSON, and the
+    // cell keys tell faulted platforms apart.
+    let request = Json::obj([
+        ("id", Json::Num(1.0)),
+        ("kind", Json::Str("campaign".to_string())),
+        ("cells", campaign_cells_to_json(&specs)),
+    ])
+    .render();
+    let response = Json::parse(&Service::default().handle_line(&request)).unwrap();
+    assert_eq!(
+        response.field("status").unwrap().as_str().unwrap(),
+        "ok",
+        "{response:?}"
+    );
+    let served = CampaignReport::from_json(&response.field("result").unwrap().render()).unwrap();
+    assert_eq!(served, reference, "the service diverged on faulted cells");
 }
 
 #[test]
