@@ -1334,6 +1334,39 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(std::fs::read(&path).unwrap(), sealed);
         assert!(lock.exists());
+
+        // A publish with something to merge meets a fresh sentinel another
+        // publisher holds: it waits for the release instead of breaking the
+        // lock, then merges into the file.
+        std::fs::remove_file(&lock).unwrap();
+        let (held, release) = std::sync::mpsc::channel();
+        let holder = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let lock = DumpFileLock::acquire(&path).unwrap();
+                held.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(150));
+                drop(lock);
+            })
+        };
+        release.recv().unwrap();
+        let started = std::time::Instant::now();
+        assert_eq!(cache_with_sizes(&[64.0]).publish_to_file(&path).unwrap(), 3);
+        let waited = started.elapsed();
+        holder.join().unwrap();
+        assert!(
+            waited >= Duration::from_millis(100),
+            "published after {waited:?}, before the holder released the lock"
+        );
+        assert!(!lock.exists());
+        assert_eq!(
+            crate::telemetry::global()
+                .counter("cache.lock_takeover")
+                .get(),
+            takeovers_before
+        );
+        let union = ScheduleCache::new();
+        assert_eq!(union.load_from_file(&path).unwrap(), 3);
     }
 
     #[test]

@@ -55,7 +55,7 @@ struct ReadyOp {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct ActiveOp {
+struct RunningOp {
     finish_ns: f64,
     chunk: usize,
     stage: usize,
@@ -101,7 +101,7 @@ pub fn enforced_intra_dim_order(
     }
 
     let mut ready: Vec<Vec<ReadyOp>> = vec![Vec::new(); num_dims];
-    let mut active: Vec<Option<ActiveOp>> = vec![None; num_dims];
+    let mut active: Vec<Option<RunningOp>> = vec![None; num_dims];
     let mut order: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_dims];
     let mut last_busy_end = vec![f64::NEG_INFINITY; num_dims];
     let mut arrival_counter: u64 = 0;
@@ -140,7 +140,7 @@ pub fn enforced_intra_dim_order(
             } else {
                 op.transfer_ns
             };
-            active[dim] = Some(ActiveOp {
+            active[dim] = Some(RunningOp {
                 finish_ns: now + runtime,
                 chunk: op.chunk,
                 stage: op.stage,
@@ -164,7 +164,7 @@ pub fn enforced_intra_dim_order(
         now = finish_ns;
 
         // Complete every op finishing at `now`, in (dim) order for determinism.
-        let mut completed: Vec<(usize, ActiveOp)> = Vec::new();
+        let mut completed: Vec<(usize, RunningOp)> = Vec::new();
         for (dim, slot) in active.iter_mut().enumerate() {
             if let Some(op) = *slot {
                 if op.finish_ns <= now + 1e-9 {

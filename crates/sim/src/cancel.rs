@@ -1,9 +1,9 @@
-//! Cooperative cancellation for the event-loop engines.
+//! Cooperative cancellation for the simulation event loop.
 //!
 //! A [`CancelToken`] is a cheaply cloneable handle (an [`Arc`] around one
 //! atomic flag plus an optional wall-clock deadline) that callers install on a
-//! [`SimWorkspace`](crate::SimWorkspace) before running a cell. Both engines
-//! poll it at event-loop iteration boundaries and bail out with
+//! [`SimWorkspace`](crate::SimWorkspace) before running a cell. The loop
+//! polls it at event-loop iteration boundaries and bail out with
 //! [`SimError::Cancelled`](crate::SimError::Cancelled) once it fires — so a
 //! request deadline turns an unbounded simulation into a structured timeout
 //! instead of a hung worker.

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] is a sorted schedule of [`FaultEvent`]s — per-dimension
 //! bandwidth degradation, full link failure, and recovery, each with an
-//! activation time in simulated nanoseconds. Both engines apply the plan as
-//! **cost-table swaps at event boundaries**: the event loop never advances
-//! across a fault time in one step; when it reaches one it switches to the
+//! activation time in simulated nanoseconds. The event loop applies the plan
+//! as **cost-table swaps at event boundaries**: it never advances across a
+//! fault time in one step; when it reaches one it switches to the
 //! epoch's [`CostTable`] and issues all later ops against it. Two rules keep
 //! the model deterministic and cheap:
 //!
@@ -24,8 +24,8 @@
 //! builds are bit-identical, so fault runs agree bit for bit across every
 //! runner backend.
 //!
-//! An empty plan is guaranteed to leave both engines on their exact original
-//! float paths: no boundary exists, no delta is capped, and the base table is
+//! An empty plan is guaranteed to leave the event loop on its exact original
+//! float path: no boundary exists, no delta is capped, and the base table is
 //! used throughout, so reports are bit-identical to a fault-free build.
 
 use crate::error::SimError;
@@ -400,7 +400,7 @@ pub struct FaultEpoch {
 }
 
 /// A compiled [`FaultPlan`]: the ordered epochs (with pre-built cost tables)
-/// the event loops step through.
+/// the event loop steps through.
 #[derive(Debug, Clone)]
 pub struct FaultTimeline {
     epochs: Vec<FaultEpoch>,

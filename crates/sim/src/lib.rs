@@ -39,8 +39,9 @@
 //! Every simulation runs through one data-oriented event loop in
 //! [`stream::engine`]: a single collective is the one-entry, issued-at-zero
 //! case of a stream, run by the loop's single-collective instantiation. The
-//! original heap-backed loop stays as the differential oracle behind
-//! [`SimOptions::reference_engine`].
+//! crate carries no second loop: the differential suites check this one
+//! against a plain reference loop written against the public API in the
+//! test tree (`crates/sim/tests/oracle`).
 //!
 //! ```
 //! use themis_core::{CollectiveRequest, CollectiveScheduler, ThemisScheduler};
@@ -67,7 +68,6 @@ pub mod error;
 pub mod faults;
 pub mod options;
 pub mod pipeline;
-pub(crate) mod readyq;
 pub(crate) mod soa;
 pub mod stats;
 pub mod stream;

@@ -42,21 +42,6 @@ pub struct SimOptions {
     /// means a healthy fabric, and the engines take their exact original
     /// float paths — reports are bit-identical to a fault-free build.
     pub faults: FaultPlan,
-    /// If `true`, simulations run the original heap-backed merged loop (the
-    /// pre-rewrite reference implementation) instead of the data-oriented
-    /// loop that replaced it on the default path — for single collectives
-    /// and streams alike.
-    ///
-    /// The fast loop keeps per-op state in flat structure-of-arrays keyed by
-    /// the dense ids the [`themis_core::plan::CostTable`] assigns, replaces
-    /// the Smallest-Chunk-First binary heaps with calendar-style cost-bucket
-    /// queues, and skips all bookkeeping for quiescent dimensions — but it
-    /// executes the exact same sequence of floating-point operations, so
-    /// reports are **bit-identical** either way (enforced by the
-    /// `differential` and `engine_equivalence` test suites). The flag exists
-    /// so the differential harness — and any suspicious user — can drive
-    /// both loops; it is `false` by default and costs nothing when unused.
-    pub reference_engine: bool,
 }
 
 impl Default for SimOptions {
@@ -68,7 +53,6 @@ impl Default for SimOptions {
             cross_collective_overlap: true,
             record_op_log: true,
             faults: FaultPlan::new(),
-            reference_engine: false,
         }
     }
 }
@@ -139,15 +123,6 @@ impl SimOptions {
         self.faults = faults;
         self
     }
-
-    /// Builder-style setter for the reference-engine path (the original
-    /// heap-backed merged loop). Reports are bit-identical either way; the
-    /// reference path is simply slower.
-    #[must_use]
-    pub fn with_reference_engine(mut self, reference: bool) -> Self {
-        self.reference_engine = reference;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +138,6 @@ mod tests {
         assert!(options.cross_collective_overlap);
         assert!(options.record_op_log);
         assert!(options.faults.is_empty());
-        assert!(!options.reference_engine);
         options.validate().unwrap();
     }
 
@@ -175,15 +149,13 @@ mod tests {
             .with_activity_window_ns(50_000.0)
             .with_cross_collective_overlap(false)
             .with_op_log(false)
-            .with_faults(FaultPlan::new().degrade(1_000.0, 0, 0.5))
-            .with_reference_engine(true);
+            .with_faults(FaultPlan::new().degrade(1_000.0, 0, 0.5));
         assert_eq!(options.max_concurrent_ops_per_dim, 4);
         assert!(options.enforce_intra_dim_order);
         assert_eq!(options.activity_window_ns, 50_000.0);
         assert!(!options.cross_collective_overlap);
         assert!(!options.record_op_log);
         assert_eq!(options.faults.len(), 1);
-        assert!(options.reference_engine);
         options.validate().unwrap();
     }
 

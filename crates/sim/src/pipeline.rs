@@ -591,9 +591,6 @@ mod tests {
         let report = PipelineSimulator::new(&topo, options.clone())
             .run(&schedule)
             .unwrap();
-        let reference = PipelineSimulator::new(&topo, options.clone().with_reference_engine(true))
-            .run(&schedule)
-            .unwrap();
         // t = 0 stays the origin: the blocked prefix counts towards the
         // makespan and the op log keeps absolute times.
         assert!(report.total_time_ns > recover_at);
@@ -601,11 +598,6 @@ mod tests {
         for op in &report.op_log {
             assert!(op.start_ns >= recover_at, "{op:?} starts before recovery");
         }
-        assert_eq!(
-            report.total_time_ns.to_bits(),
-            reference.total_time_ns.to_bits()
-        );
-        assert_eq!(report, reference);
         // A stream span of the same collective is shifted to its first
         // issue instead.
         let stream = StreamSimulator::new(&topo, options)
@@ -625,13 +617,11 @@ mod tests {
         let topo = fig5_topology();
         let request = CollectiveRequest::all_reduce_mib(64.0);
         let schedule = CollectiveSchedule::new(request, "empty", IntraDimPolicy::Fifo, Vec::new());
-        for reference in [false, true] {
-            let options = SimOptions::default().with_reference_engine(reference);
-            let report = PipelineSimulator::new(&topo, options)
-                .run(&schedule)
-                .unwrap();
-            assert_eq!(report.total_time_ns, 0.0, "reference={reference}");
-        }
+        let report = PipelineSimulator::new(&topo, SimOptions::default())
+            .run(&schedule)
+            .unwrap();
+        assert_eq!(report.total_time_ns, 0.0);
+        assert!(report.op_log.is_empty());
     }
 
     #[test]

@@ -1,24 +1,22 @@
 //! Structure-of-arrays state for the data-oriented event loop.
 //!
-//! The reference loop keeps per-op state in small structs (`PendingOp`,
-//! `ActiveOp`) threaded through policy-shaped containers ([`crate::readyq`],
-//! a `BinaryHeap` for Smallest-Chunk-First). The fast loop instead keys
-//! everything by the dense op ids the [`CostTable`] already assigns —
-//! `op = offsets[chunk] + stage`, collectives concatenated — and holds the
-//! per-op attributes (dimension, chunk, stage, per-epoch transfer/work costs,
-//! wire bytes) in flat arrays built once per run by [`OpMatrix`]. A ready op
-//! is then just a `u32`, and the SCF heap becomes a calendar-style
-//! [`Lane`] of cost buckets: transfer costs come from a small set of
-//! `A_K + N_K × B_K` values, so mapping each distinct cost to a dense rank
-//! gives O(1) pushes and pops (front of the lowest-occupied bucket) that
-//! reproduce the heap's `(cost, arrival)` order exactly — pushes happen in
-//! global arrival order, so FIFO-within-bucket *is* arrival order, and ranks
-//! are assigned by `total_cmp` so bucket order *is* cost order.
+//! The loop keys everything by the dense op ids the [`CostTable`] already
+//! assigns — `op = offsets[chunk] + stage`, collectives concatenated — and
+//! holds the per-op attributes (dimension, chunk, stage, per-epoch
+//! transfer/work costs, wire bytes) in flat arrays built once per run by
+//! [`OpMatrix`]. A ready op is then just a `u32`, and the Smallest-Chunk-First
+//! pick becomes a calendar-style [`Lane`] of cost buckets: transfer costs
+//! come from a small set of `A_K + N_K × B_K` values, so mapping each distinct
+//! cost to a dense rank gives O(1) pushes and pops (front of the
+//! lowest-occupied bucket) in the policy's `(cost, arrival)` order — pushes
+//! happen in global arrival order, so FIFO-within-bucket *is* arrival order,
+//! and ranks are assigned by `total_cmp` so bucket order *is* cost order.
 //!
 //! Nothing in this module touches the simulated floats: it re-packages the
-//! exact values the reference loop reads (`work_ns` is precomputed with the
-//! same [`OpCost::work_ns`] addition), which is why the fast loop is
-//! bit-identical — the property the `differential` suite enforces.
+//! exact values the cost tables hold (`work_ns` is precomputed with the same
+//! [`OpCost::work_ns`] addition), which is why the loop stays bit-identical
+//! to the test tree's plain reference loop — the property the `differential`
+//! suite enforces.
 
 use crate::faults::FaultTimeline;
 use std::borrow::Borrow;
@@ -28,7 +26,7 @@ use themis_core::plan::{CostTable, OpCost};
 use themis_core::schedule::CollectiveSchedule;
 
 /// Iterator over the set bit positions of a `u64` mask, ascending — the
-/// quiescence short-cut: loops visit live dimensions only.
+/// quiescence short-cut: the loop visits live dimensions only.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BitIter(pub u64);
 
@@ -84,15 +82,14 @@ impl FifoVec {
     }
 
     /// Removes and returns `op` if queued, preserving the order of the rest
-    /// (enforced-order lanes only — a linear search, exactly like the
-    /// reference `VecDeque` path).
+    /// (enforced-order lanes only — a linear search).
     fn take(&mut self, op: u32) -> Option<u32> {
         let position = self.items[self.head..].iter().position(|&o| o == op)?;
         Some(self.items.remove(self.head + position))
     }
 }
 
-/// Shape of one ready lane, mirroring the reference `ReadyQueue` layouts.
+/// Shape of one ready lane: how it picks its next op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneKind {
     /// FIFO policy: a plain queue, pop-front is the pick.
@@ -104,8 +101,8 @@ pub(crate) enum LaneKind {
 }
 
 /// One dimension's (or one collective-on-a-dimension's) ready ops, stored in
-/// the pop order of the owning run's policy — the calendar/bucket replacement
-/// for the reference loop's heap-backed [`crate::readyq::ReadyQueue`].
+/// the pop order of the owning run's policy: a queue for FIFO, calendar-style
+/// cost buckets for Smallest-Chunk-First.
 #[derive(Debug, Clone)]
 pub(crate) struct Lane {
     kind: LaneKind,
@@ -213,8 +210,8 @@ impl Lane {
 
 /// The flat per-op attribute arrays of one run: everything the inner loop
 /// reads about an op, keyed by its dense id. Built once per run (reusing the
-/// workspace's allocations) from the same cost tables the reference engine
-/// chases per-op — identical values, contiguous layout.
+/// workspace's allocations) from the run's cost tables — identical values,
+/// contiguous layout.
 #[derive(Debug, Default)]
 pub(crate) struct OpMatrix {
     /// Total op count across all collectives.
@@ -265,16 +262,15 @@ impl OpMatrix {
         self.coll_base.clear();
     }
 
-    /// The epoch-`epoch` transfer cost of `op` — the value the reference
-    /// engine reads as `table.cost(chunk, stage).transfer_ns`.
+    /// The epoch-`epoch` transfer cost of `op`: the epoch table's
+    /// `cost(chunk, stage).transfer_ns`.
     #[inline(always)]
     pub(crate) fn transfer_at(&self, epoch: usize, op: usize) -> f64 {
         self.transfer[epoch * self.num_ops + op]
     }
 
-    /// The epoch-`epoch` full work of `op` — precomputed with the same
-    /// [`OpCost::work_ns`] addition the reference engine performs, so the
-    /// bits match.
+    /// The epoch-`epoch` full work of `op` — precomputed with
+    /// [`OpCost::work_ns`], so the bits match a per-op `work_ns()` call.
     #[inline(always)]
     pub(crate) fn work_at(&self, epoch: usize, op: usize) -> f64 {
         self.work[epoch * self.num_ops + op]
@@ -517,8 +513,8 @@ fn epoch_table<'t>(
     }
 }
 
-/// Completion threshold of both loops: an op finishes once its remaining
-/// work is within this epsilon of zero (identical to the reference loop).
+/// Completion threshold: an op finishes once its remaining work is within
+/// this epsilon of zero.
 pub(crate) const COMPLETION_EPS: f64 = 1e-6;
 
 /// One finished op, recorded by [`ActiveSet::advance`]: the dense id, the
@@ -530,8 +526,7 @@ pub(crate) struct Completion {
     pub start_ns: f64,
 }
 
-/// The in-flight ops of one dimension, structure-of-arrays: the fast
-/// loop's replacement for the reference `Vec<ActiveOp>`. The only value
+/// The in-flight ops of one dimension, structure-of-arrays. The only value
 /// the inner loop touches every step is each op's remaining work, so it
 /// lives in its own densely packed `f64` array, and the set maintains
 /// `min(remaining)` incrementally — the per-step earliest-completion scan
@@ -608,8 +603,8 @@ impl ActiveSet {
     /// [`COMPLETION_EPS`]) to `completions`. Returns `true` when the set
     /// went idle.
     ///
-    /// The per-op subtraction is the identical float operation the reference
-    /// loop performs. Because subtracting a constant is monotone,
+    /// The per-op subtraction is the plain `remaining - share` of processor
+    /// sharing. Because subtracting a constant is monotone,
     /// `min(remaining) - share` exactly predicts whether *any* op completes,
     /// so the common no-completion step takes a branch-free sweep the
     /// compiler can vectorise — and that difference is bitwise the new

@@ -13,16 +13,16 @@
 //! instantiation — behind [`crate::PipelineSimulator`] and the sequential
 //! stream policy — compiles out what one collective never needs:
 //! admission, the vacancy tracker, the per-collective segment accounting
-//! and the per-dimension ready-collective lists and counts. The
-//! original heap-backed merged loop stays as the differential oracle behind
-//! [`SimOptions::reference_engine`], for single and stream runs alike.
+//! and the per-dimension ready-collective lists and counts. It is the only
+//! event loop in the crate; the differential suites check it against a plain
+//! reference loop kept in the test tree (`crates/sim/tests/oracle`).
 
 use crate::error::SimError;
 use crate::faults::FaultTimeline;
 use crate::options::SimOptions;
 use crate::soa::{self, BitIter, Completion, Lane, LaneKind, OpMatrix, ReadyIndex};
 use crate::stats::{DimReport, LabelInterner, RawOp, SimReport};
-use crate::stream::queue::{ActiveOp, DimQueue, PendingOp, StreamEntry, VacancyTracker};
+use crate::stream::queue::{StreamEntry, VacancyTracker};
 use crate::stream::report::{CollectiveSpan, StreamReport};
 use crate::workspace::{LoopCounters, SimWorkspace};
 use std::borrow::Borrow;
@@ -397,7 +397,7 @@ impl CollState {
 /// identity the workspace memoises built op matrices under.
 type PlanArcs<'p> = (&'p [Arc<CollectiveSchedule>], &'p [Arc<CostTable>]);
 
-/// What an event loop hands back for report assembly.
+/// What the event loop hands back for report assembly.
 #[derive(Debug)]
 struct LoopRun {
     /// Network-wide per-dimension statistics, on the run's clock.
@@ -408,7 +408,7 @@ struct LoopRun {
     network_busy_ns: f64,
     /// Time at least two collectives were executing (merged runs).
     overlap_ns: f64,
-    /// Per-collective state in admission order; the fast single-collective
+    /// Per-collective state in admission order; the single-collective
     /// instantiation keeps none.
     colls: Vec<CollState>,
 }
@@ -431,19 +431,6 @@ impl Engine<'_> {
             .options
             .record_op_log
             .then(|| LabelInterner::for_dims(self.topo.num_dims()));
-        if self.options.reference_engine {
-            let mut run =
-                self.run_reference(&[schedule], &[table], &[0.0], timelines, false, workspace)?;
-            let state = run.colls.pop().expect("the one collective ran");
-            return Ok(self.collective_report(
-                schedule,
-                0.0,
-                state.finish_ns,
-                state.dims,
-                &state.raw_ops,
-                labels.as_ref(),
-            ));
-        }
         // Faulted runs build their matrix fresh: fault timelines are per-run
         // inputs, not part of the memo key.
         let memo = match shared {
@@ -475,18 +462,14 @@ impl Engine<'_> {
         plan_cache: Option<&CostTableCache>,
     ) -> Result<LoopRun, SimError> {
         let timelines = self.compile_faults(schedules, plan_cache)?;
-        if self.options.reference_engine {
-            self.run_reference(schedules, tables, issue_ns, timelines, true, workspace)
-        } else {
-            let memo = timelines.is_none().then_some((schedules, tables));
-            self.run_fast::<true, _, _>(schedules, tables, issue_ns, timelines, memo, workspace)
-        }
+        let memo = timelines.is_none().then_some((schedules, tables));
+        self.run_fast::<true, _, _>(schedules, tables, issue_ns, timelines, memo, workspace)
     }
 
     /// Compiles the fault plan once per collective — cost tables are
     /// per-schedule, so each gets its own epoch tables, while all timelines
     /// share the plan's epoch boundaries and blocked masks. `None` for a
-    /// healthy fabric, which keeps the loops on their exact fault-free float
+    /// healthy fabric, which keeps the loop on its exact fault-free float
     /// path.
     fn compile_faults<S: Borrow<CollectiveSchedule>>(
         &self,
@@ -568,15 +551,17 @@ impl Engine<'_> {
     /// The data-oriented loop: per-op state lives in the flat [`OpMatrix`]
     /// arrays (collectives concatenated into one dense op-id space), ready
     /// ops are `u32`s in per-(dimension, collective) [`Lane`]s — cost-rank
-    /// bucket queues replacing the reference heaps — and `u64` masks let
-    /// every scan skip quiescent dimensions entirely.
+    /// bucket queues that pop in Smallest-Chunk-First `(cost, arrival)`
+    /// order — and `u64` masks let every scan skip quiescent dimensions
+    /// entirely.
     ///
     /// `MULTI = false` runs one collective issued at t = 0 and compiles out
     /// admission, the vacancy tracker, the per-collective accounting and the
     /// ready index: a dimension's one lane is its whole ready set. Every
     /// simulated float operation happens in the same order on the same
-    /// values as [`Engine::run_reference`], so reports are bit-identical
-    /// (enforced by the `differential` suite).
+    /// values as in the test tree's reference loop, so reports are
+    /// bit-identical to it (enforced by the `differential` and
+    /// `engine_equivalence` suites).
     #[allow(clippy::too_many_lines)]
     fn run_fast<const MULTI: bool, S, T>(
         &self,
@@ -655,8 +640,7 @@ impl Engine<'_> {
         };
         for (coll, schedule) in schedules.iter().enumerate() {
             let kind = if !enforced.is_empty() {
-                // Enforced runs need targeted removal in arrival order — the
-                // same linear layout the reference queues switch to.
+                // Enforced runs need targeted removal in arrival order.
                 LaneKind::Linear
             } else if schedule.borrow().intra_dim_policy() == IntraDimPolicy::SmallestChunkFirst {
                 LaneKind::Scf
@@ -818,7 +802,7 @@ impl Engine<'_> {
                     // ops overlap their step latencies with the
                     // predecessor's transfer, whichever collective they
                     // belong to. `work` was precomputed with the identical
-                    // float addition the reference loop performs.
+                    // `OpCost::work_ns` float addition.
                     let resuming_after_idle =
                         active[dim].is_empty() && now > last_busy_end[dim] + 1e-6;
                     let starting_cold = last_busy_end[dim] == f64::NEG_INFINITY;
@@ -1036,385 +1020,6 @@ impl Engine<'_> {
             colls,
         })
     }
-
-    /// The original heap-backed merged loop, kept as the reference
-    /// implementation behind [`SimOptions::reference_engine`].
-    /// [`Engine::run_fast`] must stay bit-identical to it — the
-    /// `differential` and `engine_equivalence` suites enforce it. `multi`
-    /// only picks the telemetry histogram the run flushes into.
-    #[allow(clippy::too_many_lines)]
-    #[inline(never)]
-    fn run_reference<S, T>(
-        &self,
-        schedules: &[S],
-        tables: &[T],
-        issue_ns: &[f64],
-        timelines: Option<Vec<FaultTimeline>>,
-        multi: bool,
-        workspace: &mut SimWorkspace,
-    ) -> Result<LoopRun, SimError>
-    where
-        S: Borrow<CollectiveSchedule>,
-        T: Borrow<CostTable>,
-    {
-        let num_dims = self.topo.num_dims();
-        let enforced = self.enforced_orders(schedules)?;
-        let mut colls: Vec<CollState> = schedules
-            .iter()
-            .zip(issue_ns)
-            .map(|(schedule, &issue)| CollState::new(issue, schedule.borrow(), self.topo))
-            .collect();
-        let mut dims_report = DimReport::for_topology(self.topo);
-        let mut network_busy_ns = 0.0f64;
-        let mut overlap_ns = 0.0f64;
-        let mut epoch = 0usize;
-
-        workspace.prepare_reference(num_dims, colls.len());
-        // Same contract as the fast loop: telemetry accumulates locally and
-        // flushes once after the loop; the simulated floats are untouched
-        // either way.
-        let telemetry_on = workspace.telemetry.enabled();
-        if telemetry_on {
-            workspace.telemetry.ensure_dims(num_dims);
-        }
-        let loop_started = telemetry_on.then(std::time::Instant::now);
-        let cancel = workspace.cancel.clone();
-        let mut cancel_iter: u64 = 0;
-        let SimWorkspace {
-            queues: dims,
-            queue_completions: completions,
-            order_ptr,
-            accounts,
-            telemetry,
-            depth_scratch,
-            ..
-        } = workspace;
-        let layouts = || {
-            schedules
-                .iter()
-                .map(|schedule| (schedule.borrow().intra_dim_policy(), !enforced.is_empty()))
-        };
-        dims.truncate(num_dims);
-        for queue in dims.iter_mut() {
-            queue.reset(layouts());
-        }
-        while dims.len() < num_dims {
-            dims.push(DimQueue::new(layouts()));
-        }
-        // The tracker only needs per-(collective, dimension) op counts, so the
-        // stage dims stream straight into it without materialising a vector
-        // per collective.
-        let mut vacancy = VacancyTracker::from_stage_dims(
-            schedules.iter().map(|schedule| {
-                schedule
-                    .borrow()
-                    .chunks()
-                    .iter()
-                    .flat_map(|chunk| chunk.stages.iter().map(|stage| stage.dim))
-            }),
-            num_dims,
-        );
-        let timelines = timelines.as_deref();
-        let mut arrival: u64 = 0;
-        let mut now = 0.0f64;
-        let mut outstanding = 0usize;
-        let mut admit_ptr = 0usize;
-        let mut stall_counter = 0usize;
-
-        while admit_ptr < colls.len() || outstanding > 0 {
-            if let Some(token) = &cancel {
-                if token.should_stop(cancel_iter) {
-                    return Err(SimError::Cancelled { at_ns: now });
-                }
-                cancel_iter += 1;
-            }
-            // The fabric state of the current fault epoch (shared across
-            // collectives: one plan, one set of boundaries and blocks).
-            let (blocked, next_fault): (Option<&[bool]>, Option<f64>) = match timelines {
-                Some([timeline, ..]) => (
-                    Some(&timeline.epochs()[epoch].blocked),
-                    timeline.epoch_start(epoch + 1),
-                ),
-                _ => (None, None),
-            };
-
-            // Event-driven admission: collectives whose issue time has arrived
-            // enter the ready queues (their chunks' first stages).
-            while admit_ptr < colls.len() && colls[admit_ptr].issue_ns <= now {
-                let coll = admit_ptr;
-                admit_ptr += 1;
-                let state = &mut colls[coll];
-                if state.outstanding_ops == 0 {
-                    // A degenerate collective with no stages completes at
-                    // admission.
-                    state.started = true;
-                    state.start_ns = now;
-                    state.finish_ns = now;
-                    continue;
-                }
-                outstanding += state.outstanding_ops;
-                for (chunk_idx, chunk) in schedules[coll].borrow().chunks().iter().enumerate() {
-                    if let Some(first) = chunk.stages.first() {
-                        dims[first.dim].push_ready(PendingOp {
-                            arrival,
-                            coll,
-                            chunk: chunk_idx,
-                            stage: 0,
-                            cost_ns: epoch_table(timelines, tables, epoch, coll)
-                                .cost(chunk_idx, 0)
-                                .transfer_ns,
-                        });
-                        arrival += 1;
-                    }
-                }
-            }
-
-            // Start as many ops as the concurrency limit, the enforced order
-            // and dimension ownership allow: a dimension serves the earliest
-            // admitted collective that has not vacated it, so chunks of
-            // collective k+1 only start on dimensions collective k is done
-            // with.
-            for (dim, queue) in dims.iter_mut().enumerate() {
-                // Failed dimensions issue nothing; ready ops wait for a
-                // recovery boundary.
-                if blocked.is_some_and(|blocked| blocked[dim]) {
-                    continue;
-                }
-                while queue.active.len() < self.options.max_concurrent_ops_per_dim
-                    && queue.ready_len() > 0
-                {
-                    let Some(coll) = vacancy.owner(dim, admit_ptr) else {
-                        break;
-                    };
-                    if !queue.has_ready(coll) {
-                        // The owner has work left on this dimension but none
-                        // of it is ready yet: the dimension waits rather than
-                        // letting a later collective in ahead of it.
-                        break;
-                    }
-                    let op = if enforced.is_empty() {
-                        // The priority collective's bucket is policy-ordered:
-                        // the pop *is* its FIFO/SCF pick.
-                        queue.pop_next(coll).expect("bucket is non-empty")
-                    } else {
-                        let cursor = &mut order_ptr[coll * num_dims + dim];
-                        let Some(&(chunk, stage)) = enforced[coll].for_dim(dim).get(*cursor) else {
-                            break;
-                        };
-                        match queue.take_matching(coll, chunk, stage) {
-                            Some(op) => {
-                                *cursor += 1;
-                                op
-                            }
-                            // The collective's next enforced op is not ready
-                            // yet: the dimension waits for it rather than
-                            // running another op out of turn.
-                            None => break,
-                        }
-                    };
-                    // Ops price against the table of the epoch they are
-                    // *issued* in; once started they complete at that cost
-                    // even if a fault hits mid-flight.
-                    let cost =
-                        epoch_table(timelines, tables, epoch, op.coll).cost(op.chunk, op.stage);
-                    // Pay the fixed delay only when the dimension restarts
-                    // after an idle period; the dimension does not care which
-                    // collective the back-to-back ops belong to.
-                    let resuming_after_idle =
-                        queue.active.is_empty() && now > queue.last_busy_end_ns + 1e-6;
-                    let starting_cold = queue.last_busy_end_ns == f64::NEG_INFINITY;
-                    let work_ns = if resuming_after_idle || starting_cold {
-                        cost.work_ns()
-                    } else {
-                        cost.transfer_ns
-                    };
-                    if !colls[op.coll].started {
-                        colls[op.coll].started = true;
-                        colls[op.coll].start_ns = now;
-                    }
-                    queue.active.push(ActiveOp {
-                        coll: op.coll,
-                        chunk: op.chunk,
-                        stage: op.stage,
-                        remaining_work_ns: work_ns,
-                        start_ns: now,
-                    });
-                }
-            }
-
-            let any_active = dims.iter().any(|q| !q.active.is_empty());
-            let next_admission = colls.get(admit_ptr).map(|c| c.issue_ns);
-            if !any_active {
-                // Nothing is executing: jump across the idle gap to the next
-                // event, or, with none left, declare a stall.
-                match next_event(next_admission, next_fault) {
-                    Some((at, is_fault)) => {
-                        now = at.max(now);
-                        epoch += usize::from(is_fault);
-                        continue;
-                    }
-                    // Only collectives without stages were left: done.
-                    None if outstanding == 0 => break,
-                    None => {}
-                }
-                let pending: usize = dims.iter().map(DimQueue::ready_len).sum();
-                return Err(SimError::Stalled {
-                    at_ns: now,
-                    outstanding_ops: pending,
-                });
-            }
-
-            // Time until the earliest completion under processor sharing (an
-            // op with `k` siblings progresses at rate 1/k), capped by the next
-            // admission event.
-            let mut delta = f64::INFINITY;
-            for queue in dims.iter() {
-                let k = queue.active.len() as f64;
-                for op in &queue.active {
-                    delta = delta.min(op.remaining_work_ns * k);
-                }
-            }
-            let (delta, advance_to_admission, advance_to_fault) =
-                cap_step(delta, now, next_admission, next_fault);
-            guard_progress(
-                &mut stall_counter,
-                delta > 0.0 || advance_to_admission || advance_to_fault,
-                now,
-                outstanding,
-            )?;
-
-            // Account statistics for the segment [now, now + delta).
-            if delta > 0.0 {
-                for (dim, queue) in dims.iter().enumerate() {
-                    if !queue.active.is_empty() {
-                        dims_report[dim].busy_ns += delta;
-                    }
-                    if queue.occupied() {
-                        push_presence(&mut dims_report[dim].presence_intervals, now, now + delta);
-                    }
-                    accounts.charge_dim(
-                        &mut colls,
-                        dim,
-                        queue.active.iter().map(|op| op.coll),
-                        queue.ready_colls(),
-                        now,
-                        delta,
-                    );
-                }
-                accounts.close_segment(&mut colls, delta, &mut network_busy_ns, &mut overlap_ns);
-            }
-
-            // Advance all active ops.
-            for queue in dims.iter_mut() {
-                let k = queue.active.len() as f64;
-                for op in queue.active.iter_mut() {
-                    op.remaining_work_ns -= delta / k;
-                }
-            }
-            now = if advance_to_fault {
-                epoch += 1;
-                next_fault.expect("fault boundary exists when advancing to it")
-            } else if advance_to_admission {
-                next_admission.expect("admission event exists")
-            } else {
-                now + delta
-            };
-
-            // Collect completions into the reused scratch buffer (swap-remove,
-            // then a deterministic sort — the (dimension, collective, chunk)
-            // keys are unique, so the collection order cannot leak into the
-            // results).
-            completions.clear();
-            for (dim, queue) in dims.iter_mut().enumerate() {
-                let mut index = 0;
-                while index < queue.active.len() {
-                    if queue.active[index].remaining_work_ns <= 1e-6 {
-                        completions.push((dim, queue.active.swap_remove(index)));
-                    } else {
-                        index += 1;
-                    }
-                }
-            }
-            completions.sort_unstable_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then(a.1.coll.cmp(&b.1.coll))
-                    .then(a.1.chunk.cmp(&b.1.chunk))
-            });
-
-            for &(dim, op) in completions.iter() {
-                let cost = tables[op.coll].borrow().cost(op.chunk, op.stage);
-                vacancy.complete(op.coll, dim);
-                dims_report[dim].wire_bytes += cost.wire_bytes;
-                dims_report[dim].ops_executed += 1;
-                let state = &mut colls[op.coll];
-                state.dims[dim].wire_bytes += cost.wire_bytes;
-                state.dims[dim].ops_executed += 1;
-                if self.options.record_op_log {
-                    state.raw_ops.push(RawOp {
-                        dim,
-                        chunk: op.chunk,
-                        stage: op.stage,
-                        start_ns: op.start_ns,
-                        end_ns: now,
-                    });
-                }
-                dims[dim].last_busy_end_ns = now;
-                outstanding -= 1;
-                state.outstanding_ops -= 1;
-                if state.outstanding_ops == 0 {
-                    state.finish_ns = now;
-                }
-                let stages = &schedules[op.coll].borrow().chunks()[op.chunk].stages;
-                if let Some(next) = stages.get(op.stage + 1) {
-                    // Successor ops become ready after any epoch switch
-                    // above, so their SCF cost keys price against the
-                    // post-boundary table. (Completion-side `wire_bytes`
-                    // accounting keeps the base table: wire bytes never
-                    // depend on bandwidth, so every epoch table agrees.)
-                    dims[next.dim].push_ready(PendingOp {
-                        arrival,
-                        coll: op.coll,
-                        chunk: op.chunk,
-                        stage: op.stage + 1,
-                        cost_ns: epoch_table(timelines, tables, epoch, op.coll)
-                            .cost(op.chunk, op.stage + 1)
-                            .transfer_ns,
-                    });
-                    arrival += 1;
-                }
-            }
-        }
-
-        if let Some(started) = loop_started {
-            // The queues track their own depth high-water marks in
-            // `push_ready`, so telemetry reads them here instead of sampling
-            // inside the event loop.
-            depth_scratch.clear();
-            depth_scratch.extend(dims.iter().map(DimQueue::ready_high_water));
-            let makespan = if multi {
-                colls
-                    .iter()
-                    .fold(0.0, |finish: f64, c| finish.max(c.finish_ns))
-            } else {
-                now
-            };
-            telemetry.flush_run(
-                &dims_report,
-                makespan,
-                depth_scratch,
-                multi,
-                started.elapsed(),
-                LoopCounters::default(),
-            );
-        }
-        Ok(LoopRun {
-            dims: dims_report,
-            end_ns: now,
-            network_busy_ns,
-            overlap_ns,
-            colls,
-        })
-    }
 }
 
 /// Index of collective `coll`'s lane on `dim`: lanes are dimension-major,
@@ -1430,7 +1035,7 @@ fn lane_index<const MULTI: bool>(dim: usize, coll: usize, num_colls: usize) -> u
 
 /// Makes `op` of collective `coll` ready on `dim`; a merged run also
 /// records it in the dimension's ready index. Pushes arrive in global arrival
-/// order, so lane FIFO order is the reference tie-break.
+/// order, so lane FIFO order is the SCF tie-break by arrival.
 #[inline(always)]
 fn enqueue<const MULTI: bool>(
     lanes: &mut [Lane],
@@ -1480,24 +1085,6 @@ fn admit<const MULTI: bool>(
             matrix.rank_at(epoch, op),
         );
         *ready_mask |= 1u64 << dim;
-    }
-}
-
-/// The cost table pricing collective `coll`'s ops in fault epoch `epoch`:
-/// the compiled epoch table when one exists, otherwise the collective's base
-/// table (epochs whose bandwidth multipliers are all 1 carry no table).
-fn epoch_table<'t, T: Borrow<CostTable>>(
-    timelines: Option<&'t [FaultTimeline]>,
-    base: &'t [T],
-    epoch: usize,
-    coll: usize,
-) -> &'t CostTable {
-    match timelines {
-        Some(timelines) => timelines[coll].epochs()[epoch]
-            .table
-            .as_deref()
-            .unwrap_or(base[coll].borrow()),
-        None => base[coll].borrow(),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Reusable per-worker simulation scratch.
 //!
-//! The event loops are allocation-free per *step*; a [`SimWorkspace`] makes
-//! their setup allocation-free per *cell* too. A campaign worker creates one
+//! The event loop is allocation-free per *step*; a [`SimWorkspace`] makes
+//! its setup allocation-free per *cell* too. A campaign worker creates one
 //! workspace and threads it through every cell it executes: ready lanes,
 //! in-flight sets, completion scratch and the raw op-log buffer keep their
 //! allocations between runs and are merely re-initialised. Reuse never
@@ -12,11 +12,10 @@
 use crate::soa;
 use crate::stats::{DimReport, RawOp};
 use crate::stream::engine as stream_engine;
-use crate::stream::queue as stream_queue;
 use std::time::Duration;
 use themis_core::telemetry::{self, Counter, Gauge, Histogram, Registry};
 
-/// Pre-registered instrument handles of one workspace: the loops flush
+/// Pre-registered instrument handles of one workspace: the loop flushes
 /// per-run statistics through these without any name lookup on the run path.
 #[derive(Debug)]
 pub(crate) struct SimTelemetry {
@@ -39,12 +38,11 @@ struct DimInstruments {
     max_queue_depth: Gauge,
 }
 
-/// Per-run tallies the fast loop accumulates in locals and flushes once:
+/// Per-run tallies the loop accumulates in locals and flushes once:
 /// completions retired in same-timestamp batches of two or more
 /// (`sim.events.batched`) and dimension-segments skipped outright by the
-/// quiescence short-cut (`sim.dims.quiesced`). The reference loop flushes
-/// [`LoopCounters::default`] — both zero.
-#[derive(Debug, Default, Clone, Copy)]
+/// quiescence short-cut (`sim.dims.quiesced`).
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct LoopCounters {
     pub events_batched: u64,
     pub dims_quiesced: u64,
@@ -106,14 +104,13 @@ impl SimTelemetry {
 
     /// Flushes one finished run: the event-loop wall time into the matching
     /// span histogram, per-dimension busy/idle/op counters plus the
-    /// ready-queue high watermark, and the fast loop's batching /
-    /// quiescence tallies (`sim.events.batched` counts completions that
-    /// drained in a same-timestamp batch of two or more; `sim.dims.quiesced`
-    /// counts dimension-segments the masked loop skipped outright — the
-    /// reference loop flushes zeros for both). Single-collective runs record
-    /// into `sim.pipeline.event_loop_ns`, merged stream runs into
-    /// `sim.stream.event_loop_ns`. Called once per run, after
-    /// the loop — the hot path itself never touches an atomic.
+    /// ready-queue high watermark, and the loop's batching / quiescence
+    /// tallies (`sim.events.batched` counts completions that drained in a
+    /// same-timestamp batch of two or more; `sim.dims.quiesced` counts
+    /// dimension-segments the masked loop skipped outright).
+    /// Single-collective runs record into `sim.pipeline.event_loop_ns`,
+    /// merged stream runs into `sim.stream.event_loop_ns`. Called once per
+    /// run, after the loop — the hot path itself never touches an atomic.
     pub(crate) fn flush_run(
         &self,
         dims: &[DimReport],
@@ -152,7 +149,7 @@ impl SimTelemetry {
     }
 }
 
-/// Reusable scratch buffers for the simulation event loops.
+/// Reusable scratch buffers for the simulation event loop.
 ///
 /// Create one per worker thread (the buffers are not shared) and pass it to
 /// [`crate::PipelineSimulator::run_planned`] /
@@ -160,7 +157,7 @@ impl SimTelemetry {
 /// buffers grow to the largest cell executed and stay allocated.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
-    // --- the data-oriented loop ---
+    // --- the event loop ---
     /// The flat per-op attribute arrays of the current run.
     pub(crate) ops: soa::OpMatrix,
     /// Memoised op matrices of plan-served cells (see [`soa::MatrixMemo`]).
@@ -178,21 +175,17 @@ pub struct SimWorkspace {
     pub(crate) last_busy_end: Vec<f64>,
     /// Single-collective runs: the executed ops, for the op log.
     pub(crate) raw_ops: Vec<RawOp>,
-    // --- shared by both loops ---
     /// Enforced-order cursor per collective × dimension, collective-major.
     pub(crate) order_ptr: Vec<usize>,
     /// Merged runs: per-collective segment accounting scratch.
     pub(crate) accounts: stream_engine::CollAccounts,
-    // --- the reference loop ---
-    pub(crate) queues: Vec<stream_queue::DimQueue>,
-    pub(crate) queue_completions: Vec<(usize, stream_queue::ActiveOp)>,
     // --- telemetry ---
     pub(crate) telemetry: SimTelemetry,
     /// Per-dimension ready-queue high watermark of the current run.
     pub(crate) depth_scratch: Vec<usize>,
     // --- cancellation ---
     /// The cooperative cancellation token of the current request, if any.
-    /// Both loops poll it at iteration boundaries; without a token the
+    /// The loop polls it at iteration boundaries; without a token the
     /// checks reduce to one `Option` test per iteration and results are
     /// bit-identical to a token-free run.
     pub(crate) cancel: Option<crate::cancel::CancelToken>,
@@ -257,7 +250,7 @@ impl SimWorkspace {
         self.telemetry.phase_cost.span()
     }
 
-    /// Re-initialises the data-oriented loop's buffers for a run over
+    /// Re-initialises the loop's buffers for a run over
     /// `num_dims` dimensions and `num_colls` collectives, reusing
     /// allocations; `multi` also prepares the merged run's per-collective
     /// scratch. The lanes themselves are reset by the loop, which knows each
@@ -275,24 +268,11 @@ impl SimWorkspace {
         self.last_busy_end.resize(num_dims, f64::NEG_INFINITY);
         self.completions.clear();
         self.raw_ops.clear();
-        self.reset_order_ptr(num_dims, num_colls);
+        self.order_ptr.clear();
+        self.order_ptr.resize(num_dims * num_colls, 0);
         if multi {
             self.ready.reset(num_dims);
             self.accounts.reset(num_colls);
         }
-    }
-
-    /// Re-initialises the reference loop's per-collective buffers (the
-    /// per-dimension queues are reset by the loop, which knows each
-    /// collective's bucket layout).
-    pub(crate) fn prepare_reference(&mut self, num_dims: usize, num_colls: usize) {
-        self.queue_completions.clear();
-        self.reset_order_ptr(num_dims, num_colls);
-        self.accounts.reset(num_colls);
-    }
-
-    fn reset_order_ptr(&mut self, num_dims: usize, num_colls: usize) {
-        self.order_ptr.clear();
-        self.order_ptr.resize(num_dims * num_colls, 0);
     }
 }

@@ -1,14 +1,17 @@
-//! Differential fuzzing of the data-oriented engines against the reference
-//! engines.
+//! Differential fuzzing of the simulator against the reference loop in
+//! `oracle/`.
 //!
 //! Every cell draws a random topology, collective, scheduler and option set
-//! from a seeded LCG, runs it through both the fast loop (the default path)
-//! and the original heap-backed loop ([`SimOptions::reference_engine`]), and
-//! asserts the reports are **bit-identical** — full struct equality plus
-//! explicit `to_bits` checks on the headline floats. Every successful run
-//! also meets analytic bounds that share none of the loops' logic. The
-//! seeds are fixed, so every run replays the exact same cells; CI raises
-//! the budget through `THEMIS_DIFF_CELLS` (25× per change, 200× nightly).
+//! from a seeded LCG, runs it through the simulator and through the oracle
+//! (a plain re-implementation against public types that shares none of the
+//! simulator's loop logic), and asserts the reports are **bit-identical** —
+//! full struct equality plus explicit `to_bits` checks on the headline
+//! floats. Every successful run also meets analytic bounds that share none
+//! of either loop's logic. The seeds are fixed, so every run replays the
+//! exact same cells; CI raises the budget through `THEMIS_DIFF_CELLS` (25×
+//! per change, 200× nightly).
+
+mod oracle;
 
 use themis_collectives::CollectiveKind;
 use themis_core::{
@@ -134,8 +137,8 @@ fn random_fault_plan(rng: &mut Lcg, num_dims: usize, horizon_ns: f64) -> FaultPl
     plan
 }
 
-/// Asserts two engine outcomes agree exactly: bit-identical reports on
-/// success, the same error shape on failure.
+/// Asserts two outcomes agree exactly: bit-identical reports on success, the
+/// same error shape on failure.
 fn assert_same_sim(
     cell: &str,
     fast: Result<SimReport, SimError>,
@@ -229,9 +232,7 @@ fn run_pipeline_cell(
         assert_analytic_bounds(cell, report, report.total_time_ns, &request, chunks, topo);
         assert_late_faults_change_nothing(cell, topo, options, &schedule, report);
     }
-    let reference =
-        PipelineSimulator::new(topo, options.clone().with_reference_engine(true)).run(&schedule);
-    assert_same_sim(cell, fast, reference);
+    assert_same_sim(cell, fast, oracle::run(topo, options, &schedule));
     true
 }
 
@@ -326,19 +327,26 @@ impl StreamCell {
         }
     }
 
-    fn run(&self, topo: &NetworkTopology, options: SimOptions) -> Result<StreamReport, SimError> {
-        let mut scheduler: Box<dyn CollectiveScheduler> = if self.themis {
+    fn scheduler(&self) -> Box<dyn CollectiveScheduler> {
+        if self.themis {
             Box::new(ThemisScheduler::new(self.chunks))
         } else {
             Box::new(BaselineScheduler::new(self.chunks))
-        };
-        StreamSimulator::new(topo, options).run(&mut *scheduler, &self.entries)
+        }
+    }
+
+    fn run(&self, topo: &NetworkTopology) -> Result<StreamReport, SimError> {
+        StreamSimulator::new(topo, self.options.clone()).run(&mut *self.scheduler(), &self.entries)
+    }
+
+    fn run_oracle(&self, topo: &NetworkTopology) -> Result<StreamReport, SimError> {
+        oracle::run_stream(topo, &self.options, &mut *self.scheduler(), &self.entries)
     }
 }
 
 fn run_stream_cell(cell: &str, topo: &NetworkTopology, options: &SimOptions, rng: &mut Lcg) {
     let drawn = StreamCell::draw(options, rng);
-    let fast = drawn.run(topo, drawn.options.clone());
+    let fast = drawn.run(topo);
     if let Ok(report) = &fast {
         for span in &report.spans {
             assert_analytic_bounds(
@@ -351,12 +359,11 @@ fn run_stream_cell(cell: &str, topo: &NetworkTopology, options: &SimOptions, rng
             );
         }
     }
-    let reference = drawn.run(topo, drawn.options.clone().with_reference_engine(true));
-    assert_same_stream(cell, fast, reference);
+    assert_same_stream(cell, fast, drawn.run_oracle(topo));
 }
 
 /// Guards against the corpus silently shrinking: at least three quarters of
-/// the drawn cells must actually have run both engines.
+/// the drawn cells must actually have run through both loops.
 fn assert_coverage(executed: usize, drawn: usize) {
     assert!(
         executed * 4 >= drawn * 3,
@@ -409,9 +416,7 @@ fn faulted_pipeline_cells_are_bit_identical_across_engines() {
             let chunks = schedule.chunks().len();
             assert_analytic_bounds(&cell, report, report.total_time_ns, &request, chunks, &topo);
         }
-        let reference = PipelineSimulator::new(&topo, options.clone().with_reference_engine(true))
-            .run(&schedule);
-        assert_same_sim(&cell, fast, reference);
+        assert_same_sim(&cell, fast, oracle::run(&topo, &options, &schedule));
         executed += 1;
     }
     assert_coverage(executed, cells);
@@ -544,7 +549,7 @@ impl Digest {
 /// The digest of the four fixed-seed corpora above (at the base budget),
 /// recorded before the single-collective pipeline loops were folded into
 /// the stream engine's loop. A change that moves any bit of any report —
-/// not just one that splits the fast and reference loops apart — fails here.
+/// not just one that splits the simulator and the oracle apart — fails here.
 const CORPORA_DIGEST: u64 = 0xdfe6_3d82_e14e_31da;
 
 #[test]
@@ -586,7 +591,7 @@ fn fixed_seed_corpora_match_the_recorded_digest() {
         let topo = random_topology(&mut rng);
         let options = random_options(&mut rng);
         let cell = StreamCell::draw(&options, &mut rng);
-        digest.outcome(&cell.run(&topo, cell.options.clone()), Digest::stream);
+        digest.outcome(&cell.run(&topo), Digest::stream);
     }
 
     let mut rng = Lcg::new(0xFA_57);
@@ -595,7 +600,7 @@ fn fixed_seed_corpora_match_the_recorded_digest() {
         let options =
             random_options(&mut rng).with_faults(random_fault_plan(&mut rng, topo.num_dims(), 4e6));
         let cell = StreamCell::draw(&options, &mut rng);
-        digest.outcome(&cell.run(&topo, cell.options.clone()), Digest::stream);
+        digest.outcome(&cell.run(&topo), Digest::stream);
     }
 
     assert_eq!(

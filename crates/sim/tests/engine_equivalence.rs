@@ -1,11 +1,17 @@
-//! Engine equivalence on a deterministic preset grid: every preset topology
-//! × both schedulers × single and stream execution, asserting the
-//! data-oriented loop reproduces the reference loop bit for bit. The
-//! random-cell counterpart lives in `tests/differential.rs`.
+//! Simulator-vs-oracle equivalence on a deterministic preset grid: every
+//! preset topology × every Table 3 scheduler × single and stream execution,
+//! asserting the simulator reproduces the reference loop in `oracle/` bit
+//! for bit, plus the edge cases of the single-run frame. The random-cell
+//! counterpart lives in `differential.rs`.
 
-use themis_core::{BaselineScheduler, CollectiveRequest, CollectiveScheduler, ThemisScheduler};
+mod oracle;
+
+use themis_core::{
+    BaselineScheduler, CollectiveRequest, CollectiveSchedule, CollectiveScheduler, IntraDimPolicy,
+    SchedulerKind,
+};
 use themis_net::presets::PresetTopology;
-use themis_sim::{PipelineSimulator, SimOptions, StreamEntry, StreamSimulator};
+use themis_sim::{FaultPlan, PipelineSimulator, SimOptions, StreamEntry, StreamSimulator};
 
 fn preset_grid_options() -> Vec<SimOptions> {
     vec![
@@ -20,28 +26,25 @@ fn every_preset_matches_the_reference_engine_bit_for_bit() {
     let request = CollectiveRequest::all_reduce_mib(192.0);
     for preset in PresetTopology::all() {
         let topo = preset.build();
-        for themis in [false, true] {
-            let schedule = if themis {
-                ThemisScheduler::new(16).schedule(&request, &topo).unwrap()
-            } else {
-                BaselineScheduler::new(16)
-                    .schedule(&request, &topo)
-                    .unwrap()
-            };
+        for kind in SchedulerKind::all() {
+            let schedule = kind.build(16).schedule(&request, &topo).unwrap();
             for options in preset_grid_options() {
                 let fast = PipelineSimulator::new(&topo, options.clone())
                     .run(&schedule)
                     .unwrap();
-                let reference = PipelineSimulator::new(&topo, options.with_reference_engine(true))
-                    .run(&schedule)
-                    .unwrap();
+                let reference = oracle::run(&topo, &options, &schedule).unwrap();
                 assert_eq!(
                     fast.total_time_ns.to_bits(),
                     reference.total_time_ns.to_bits(),
-                    "{}: makespan diverged (themis={themis})",
+                    "{}: makespan diverged ({kind})",
                     preset.name()
                 );
-                assert_eq!(fast, reference, "{}: report diverged", preset.name());
+                assert_eq!(
+                    fast,
+                    reference,
+                    "{}: report diverged ({kind})",
+                    preset.name()
+                );
             }
         }
     }
@@ -56,20 +59,72 @@ fn every_preset_stream_matches_the_reference_engine_bit_for_bit() {
     ];
     for preset in PresetTopology::all() {
         let topo = preset.build();
-        for options in preset_grid_options() {
-            let fast = StreamSimulator::new(&topo, options.clone())
-                .run(&mut ThemisScheduler::new(8), &entries)
-                .unwrap();
-            let reference = StreamSimulator::new(&topo, options.with_reference_engine(true))
-                .run(&mut ThemisScheduler::new(8), &entries)
-                .unwrap();
-            assert_eq!(
-                fast.finish_ns.to_bits(),
-                reference.finish_ns.to_bits(),
-                "{}: stream finish diverged",
-                preset.name()
-            );
-            assert_eq!(fast, reference, "{}: stream report diverged", preset.name());
+        for kind in SchedulerKind::all() {
+            for options in preset_grid_options() {
+                let fast = StreamSimulator::new(&topo, options.clone())
+                    .run(&mut *kind.build(8), &entries)
+                    .unwrap();
+                let reference =
+                    oracle::run_stream(&topo, &options, &mut *kind.build(8), &entries).unwrap();
+                assert_eq!(
+                    fast.finish_ns.to_bits(),
+                    reference.finish_ns.to_bits(),
+                    "{}: stream finish diverged ({kind})",
+                    preset.name()
+                );
+                assert_eq!(
+                    fast,
+                    reference,
+                    "{}: stream report diverged ({kind})",
+                    preset.name()
+                );
+            }
         }
     }
+}
+
+#[test]
+fn a_run_with_every_first_stage_blocked_matches_the_reference_engine() {
+    // Every Baseline All-Reduce chunk starts with a Reduce-Scatter on dim 0,
+    // so failing dim 0 at t = 0 blocks every first stage: the single run
+    // keeps t = 0 as its origin, the stream span starts at the recovery.
+    let topo = PresetTopology::SwSwSw3dHomo.build();
+    let request = CollectiveRequest::all_reduce_mib(64.0);
+    let schedule = BaselineScheduler::new(8).schedule(&request, &topo).unwrap();
+    let healthy = oracle::run(&topo, &SimOptions::default(), &schedule).unwrap();
+    let recover_at = healthy.total_time_ns * 0.5;
+    let options =
+        SimOptions::default().with_faults(FaultPlan::new().fail(0.0, 0).recover(recover_at, 0));
+    let fast = PipelineSimulator::new(&topo, options.clone())
+        .run(&schedule)
+        .unwrap();
+    let reference = oracle::run(&topo, &options, &schedule).unwrap();
+    assert!(reference.total_time_ns > recover_at);
+    assert_eq!(
+        fast.total_time_ns.to_bits(),
+        reference.total_time_ns.to_bits()
+    );
+    assert_eq!(fast, reference);
+
+    let entries = [StreamEntry::new("only", 0.0, request)];
+    let fast = StreamSimulator::new(&topo, options.clone())
+        .run(&mut BaselineScheduler::new(8), &entries)
+        .unwrap();
+    let reference =
+        oracle::run_stream(&topo, &options, &mut BaselineScheduler::new(8), &entries).unwrap();
+    assert!(reference.spans[0].start_ns >= recover_at);
+    assert_eq!(fast, reference);
+}
+
+#[test]
+fn a_schedule_without_chunks_matches_the_reference_engine() {
+    let topo = PresetTopology::Sw2d.build();
+    let request = CollectiveRequest::all_reduce_mib(64.0);
+    let schedule = CollectiveSchedule::new(request, "empty", IntraDimPolicy::Fifo, Vec::new());
+    let fast = PipelineSimulator::new(&topo, SimOptions::default())
+        .run(&schedule)
+        .unwrap();
+    let reference = oracle::run(&topo, &SimOptions::default(), &schedule).unwrap();
+    assert_eq!(reference.total_time_ns, 0.0);
+    assert_eq!(fast, reference);
 }

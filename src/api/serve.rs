@@ -58,10 +58,10 @@
 //!
 //! * **`timeout`** — `campaign`/`stream` requests may carry a `deadline_ms`
 //!   field (or inherit [`ServeOptions::default_deadline_ms`]). The deadline
-//!   becomes a [`CancelToken`] polled at the simulation event-loop epochs;
-//!   an expired request answers `status:"timeout"` and its partially
-//!   computed cell is *forgotten*, never memoised. Counted in
-//!   `serve.timeouts`.
+//!   becomes a [`CancelToken`] polled at the simulation event-loop epochs
+//!   (a deadline too far out to represent is none); an expired request
+//!   answers `status:"timeout"` and its partially computed cell is
+//!   *forgotten*, never memoised. Counted in `serve.timeouts`.
 //! * **`overloaded`** — with [`ServeOptions::max_in_flight`] set, heavy
 //!   requests past the in-flight budget are **shed immediately** with
 //!   `status:"overloaded"` + `retry_after_ms` rather than queued, so a
@@ -91,8 +91,8 @@
 //! its `result` is byte-identical to `to_json` of the uncached runner. A
 //! cell's key is the render of the request's own parsed cell values:
 //! whitespace, number spelling and string escapes normalise, while key
-//! order and omitted optional fields (`faults`, `reference_engine`) give
-//! correct results in separate entries.
+//! order and omitted optional fields (`faults`) give correct results in
+//! separate entries.
 //!
 //! [`Runner::execute`]: crate::api::Runner::execute
 //! [`Runner::execute_streams`]: crate::api::Runner::execute_streams
@@ -571,14 +571,16 @@ impl Service {
     /// The request's cooperative-cancellation token: its `deadline_ms` field
     /// if present, the service's [`ServeOptions::default_deadline_ms`]
     /// otherwise, `None` when neither is configured (the common case — no
-    /// token means the simulation event loops skip the deadline poll
-    /// entirely).
+    /// token means the simulation event loop skips the deadline poll
+    /// entirely) or the deadline is too far out for a [`Duration`].
     fn deadline_token(&self, request: &Json) -> Result<Option<CancelToken>, ThemisError> {
         let ms = match request.get("deadline_ms") {
             Some(value) => Some(value.as_f64()?),
             None => self.options.default_deadline_ms.map(|ms| ms as f64),
         };
-        Ok(ms.map(|ms| CancelToken::with_timeout(Duration::from_secs_f64(ms.max(0.0) / 1000.0))))
+        Ok(ms
+            .and_then(|ms| Duration::try_from_secs_f64(ms.max(0.0) / 1000.0).ok())
+            .map(CancelToken::with_timeout))
     }
 
     /// Runs one cell computation through the single-flight cache with panic

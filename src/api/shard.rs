@@ -993,7 +993,6 @@ pub(crate) fn platform_to_json(platform: &Platform) -> Json {
                     Json::Bool(options.cross_collective_overlap),
                 ),
                 ("record_op_log", Json::Bool(options.record_op_log)),
-                ("reference_engine", Json::Bool(options.reference_engine)),
                 (
                     "faults",
                     Json::Arr(
@@ -1066,8 +1065,11 @@ pub(crate) fn platform_from_json(value: &Json) -> Result<Platform, ThemisError> 
     }
     let topology = NetworkTopology::new(value.field("name")?.as_str()?, dims)?;
     let options = value.field("options")?;
-    // `faults` is optional for backward compatibility: specs serialized
-    // before fault support parse as fault-free.
+    // Backward compatibility: `faults` is optional (specs serialized before
+    // fault support parse as fault-free), and option keys this decoder does
+    // not read are ignored. That includes the engine selector that specs and
+    // clients from before the simulator had one event loop still send; its
+    // results were bit-identical either way.
     let faults = match options.get("faults") {
         Some(list) => FaultPlan::from_events(
             list.as_arr()?
@@ -1084,13 +1086,6 @@ pub(crate) fn platform_from_json(value: &Json) -> Result<Platform, ThemisError> 
         cross_collective_overlap: options.field("cross_collective_overlap")?.as_bool()?,
         record_op_log: options.field("record_op_log")?.as_bool()?,
         faults,
-        // Optional for backward compatibility, like `faults`: specs
-        // serialized before the engine rewrite parse as fast-engine runs
-        // (bit-identical either way).
-        reference_engine: match options.get("reference_engine") {
-            Some(flag) => flag.as_bool()?,
-            None => false,
-        },
     }))
 }
 

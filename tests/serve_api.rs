@@ -333,6 +333,25 @@ fn cache_keys_normalise_spelling_but_not_key_order_or_omitted_fields() {
 }
 
 #[test]
+fn cells_that_still_carry_the_reference_engine_key_are_served_bit_identically() {
+    let specs = campaign_specs();
+    let expected = CampaignReport::new(Runner::sequential().execute(&specs).unwrap()).to_json();
+    let plain = request(
+        1,
+        "campaign",
+        vec![("cells", campaign_cells_to_json(&specs))],
+    );
+    // Older clients send the key in every platform's options; it is ignored.
+    let from = "\"record_op_log\":true,";
+    assert!(plain.contains(from), "{from} not in {plain}");
+    for flag in ["true", "false"] {
+        let line = plain.replace(from, &format!("{from}\"reference_engine\":{flag},"));
+        let response = Service::default().handle_line(&line);
+        assert_eq!(result_bytes(&response, 1, "campaign"), expected, "{flag}");
+    }
+}
+
+#[test]
 fn numbers_that_overflow_f64_are_rejected_not_saturated() {
     let specs = &campaign_specs()[..1];
     let plain = request(
@@ -694,8 +713,10 @@ fn fuzzed_request_lines_always_get_structured_responses() {
             }
         }
     }
-    // The service survived the whole run.
+    // The service survived the whole run, and no handler panicked: a caught
+    // panic also answers a structured error, so only the counter tells.
     parse_ok(&service.handle_line(&request(78, "ping", vec![])));
+    assert_eq!(service.telemetry().snapshot().counter("serve.panics"), 0);
 }
 
 #[test]
@@ -728,6 +749,33 @@ fn zero_deadline_requests_time_out_with_structured_status() {
     )));
     let report = CampaignReport::from_json(&response.field("result").unwrap().render()).unwrap();
     assert_eq!(report, reference);
+}
+
+#[test]
+fn deadlines_too_far_out_to_represent_are_no_deadline() {
+    let specs = campaign_specs();
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let service = Service::default();
+    let response = parse_ok(&service.handle_line(&request(
+        1,
+        "campaign",
+        vec![
+            ("cells", campaign_cells_to_json(&specs)),
+            ("deadline_ms", Json::Num(1e300)),
+        ],
+    )));
+    let report = CampaignReport::from_json(&response.field("result").unwrap().render()).unwrap();
+    assert_eq!(report, reference);
+    let response = parse_ok(&service.handle_line(&request(
+        2,
+        "stream",
+        vec![
+            ("cells", Json::Arr(Vec::new())),
+            ("deadline_ms", Json::Num(1e25)),
+        ],
+    )));
+    assert_eq!(response.field("id").unwrap().as_usize().unwrap(), 2);
+    assert_eq!(service.telemetry().snapshot().counter("serve.panics"), 0);
 }
 
 #[test]

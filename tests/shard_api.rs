@@ -159,6 +159,23 @@ fn shard_roundtrip_is_lossless_for_every_preset_platform() {
 }
 
 #[test]
+fn specs_that_still_carry_the_reference_engine_key_execute_bit_identically() {
+    // Specs written before the simulator had one event loop carry a
+    // `reference_engine` flag in every platform's options; decoders ignore it.
+    let specs = campaign().expand().unwrap();
+    let plan = ShardPlan::round_robin(specs.len(), 2);
+    for shard in ShardSpec::campaign_shards(&specs, &plan).unwrap() {
+        let wire = shard.to_json();
+        let from = "\"record_op_log\":true,";
+        assert!(wire.contains(from), "{from} not in {wire}");
+        let old = wire.replace(from, &format!("{from}\"reference_engine\":true,"));
+        let decoded = ShardSpec::from_json(&old).unwrap();
+        assert_eq!(decoded, shard);
+        assert_eq!(decoded.execute().unwrap(), shard.execute().unwrap());
+    }
+}
+
+#[test]
 fn sharded_execution_through_one_warm_plan_matches_the_unsharded_run() {
     // Every shard of both matrix kinds served from one warm `SimPlanCache`
     // (shared schedules + cost tables) must still merge to the bit-exact

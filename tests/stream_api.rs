@@ -124,14 +124,6 @@ fn cached_and_uncached_stream_campaigns_are_bit_identical_across_all_presets() {
             assert_eq!(cached_span.report, uncached_span.report);
         }
     }
-    // So does the reference event loop, uncached with the op log on: the
-    // oracle of the differential suites, run end to end through the facade.
-    let reference = campaign
-        .clone()
-        .sim_options(SimOptions::default().with_reference_engine(true))
-        .run(&Runner::parallel_threads(4).with_schedule_cache(false))
-        .unwrap();
-    assert_eq!(reference, cached);
 }
 
 #[test]
