@@ -3,12 +3,14 @@
 //! Predicts the runtime of a chunk phase op on a network dimension. Two
 //! flavours are exposed:
 //!
-//! * [`LatencyModel::chunk_load_ns`] — the *load* contribution used by the
-//!   scheduler: only the bandwidth term `n^i_K × B_K` (Sec. 4.4 notes that
-//!   `N_K` only participates with `B_K`, so the load tracker accounts the
-//!   bandwidth term and the fixed delay `A_K` is added once at reset).
+//! * [`LatencyModel::loads_for_stages`] — the per-dimension *load* the
+//!   scheduler accounts (`calcLoads` of Algorithm 1): only the bandwidth
+//!   term `n^i_K × B_K` (Sec. 4.4 notes that `N_K` only participates with
+//!   `B_K`, so the load tracker accounts the bandwidth term and the fixed
+//!   delay [`LatencyModel::fixed_delay_ns`], `A_K`, is added once at reset).
 //! * [`LatencyModel::chunk_runtime_ns`] — the full runtime
-//!   `A_K + n^i_K × B_K`, used by the simulator and by the threshold check.
+//!   `A_K + n^i_K × B_K` of one op, used by the scheduler's threshold check
+//!   ([`LatencyModel::runtimes_for_stages`] sums it per dimension).
 //!
 //! The model is a pure function of offline parameters (topology + collective
 //! algorithm), so every NPU computing it locally produces identical values —
@@ -49,23 +51,6 @@ impl<'a> LatencyModel<'a> {
     /// The underlying cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// Load contribution (bandwidth term only) of running `op` on `dim` for a
-    /// chunk whose resident size at stage entry is `chunk_bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range dimension or invalid size.
-    pub fn chunk_load_ns(
-        &self,
-        dim: usize,
-        op: PhaseOp,
-        chunk_bytes: f64,
-    ) -> Result<f64, ScheduleError> {
-        let spec = self.topo.dim(dim)?;
-        let cost = self.cost.chunk_cost(spec, op, chunk_bytes)?;
-        Ok(cost.transfer_ns)
     }
 
     /// Full runtime (`A_K + n × B_K`) of running `op` on `dim` for a chunk of
@@ -171,7 +156,7 @@ mod tests {
             .build()
             .unwrap();
         let model = LatencyModel::new(&topo);
-        let load = model.chunk_load_ns(0, PhaseOp::ReduceScatter, 1e6).unwrap();
+        let load = model.loads_for_stages(1e6, &[StageOp::rs(0)]).unwrap()[0];
         let runtime = model
             .chunk_runtime_ns(0, PhaseOp::ReduceScatter, 1e6)
             .unwrap();
@@ -236,7 +221,7 @@ mod tests {
     fn out_of_range_dimension_is_an_error() {
         let topo = topo_4x4_2to1();
         let model = LatencyModel::new(&topo);
-        assert!(model.chunk_load_ns(5, PhaseOp::AllGather, 1.0).is_err());
+        assert!(model.chunk_runtime_ns(5, PhaseOp::AllGather, 1.0).is_err());
         assert!(model.fixed_delay_ns(9, PhaseOp::AllGather).is_err());
     }
 }

@@ -41,7 +41,6 @@
 
 pub mod baseline;
 pub mod cache;
-pub mod consistency;
 pub mod durable;
 pub mod error;
 pub mod ideal;
@@ -58,7 +57,6 @@ pub mod themis;
 
 pub use baseline::BaselineScheduler;
 pub use cache::{ScheduleCache, ScheduleKey};
-pub use consistency::{enforced_intra_dim_order, EnforcedOrder};
 pub use durable::VerifiedRead;
 pub use error::ScheduleError;
 pub use ideal::IdealEstimator;

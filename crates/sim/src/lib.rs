@@ -12,7 +12,10 @@
 //! contention-free and topology-aware (Sec. 5.1 of the paper), the simulator
 //! models each dimension as a single shared-bandwidth channel with the
 //! `A_K + N_K × B_K` cost model — the same model the scheduler uses, which is
-//! what makes the schedule-consistency guarantee of Sec. 4.6 hold.
+//! what makes the inter-dimension schedule consistency of Sec. 4.6.1 hold.
+//! Intra-dimension consistency (Sec. 4.6.2) is
+//! [`SimOptions::enforce_intra_dim_order`]: every dimension follows the
+//! order the collective's own healthy run takes, derived by the same loop.
 //!
 //! The main entry points are:
 //!

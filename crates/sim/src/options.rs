@@ -14,10 +14,15 @@ pub struct SimOptions {
     /// parallel; concurrent ops share the dimension bandwidth equally
     /// (processor sharing).
     pub max_concurrent_ops_per_dim: usize,
-    /// If `true`, the simulator first derives the deterministic intra-dimension
-    /// execution order of Sec. 4.6.2 and enforces it during the run: a
-    /// dimension never starts an op out of that order even if it is ready
-    /// early.
+    /// If `true`, the simulator enforces the deterministic intra-dimension
+    /// execution order of Sec. 4.6.2: each dimension starts a collective's
+    /// ops in the order the collective's healthy run takes — the same event
+    /// loop on the collective alone from t = 0, one op per dimension at a
+    /// time, without faults — and never starts an op out of that order even
+    /// if it is ready early. Enforcing it on such a healthy run changes
+    /// nothing; it matters under faults, concurrency above one and streams.
+    /// The order is derived afresh for every run, which costs about one more
+    /// plain run.
     pub enforce_intra_dim_order: bool,
     /// Width of the windows used for the frontend-activity timeline of Fig. 9,
     /// in nanoseconds (paper: 100 µs).

@@ -412,17 +412,55 @@ mod tests {
 
     #[test]
     fn enforced_order_does_not_change_results_for_deterministic_runs() {
-        let topo = PresetTopology::SwSwSw3dHetero.build();
-        let request = CollectiveRequest::all_reduce_mib(256.0);
-        let schedule = ThemisScheduler::new(32).schedule(&request, &topo).unwrap();
-        let plain = PipelineSimulator::new(&topo, SimOptions::default())
-            .run(&schedule)
-            .unwrap();
-        let enforced =
-            PipelineSimulator::new(&topo, SimOptions::default().with_enforced_order(true))
-                .run(&schedule)
+        // The enforced order is the one a healthy concurrency-1 run takes,
+        // so enforcing it on such a run changes no bit of the report, op
+        // log included. On the 4D cell, dim 2 starts two 35.84 ns ops whose
+        // predecessors end at the same instant: a tie the order must keep.
+        use PresetTopology::{RingSwSwSw4d, SwSwSw3dHetero};
+        use SchedulerKind::{Baseline, ThemisScf};
+        for (preset, kind, mib, chunks) in [
+            (SwSwSw3dHetero, ThemisScf, 256.0, 32),
+            (RingSwSwSw4d, Baseline, 64.0, 1024),
+        ] {
+            let topo = preset.build();
+            let request = CollectiveRequest::all_reduce_mib(mib);
+            let plain = PipelineSimulator::new(&topo, SimOptions::default())
+                .run_kind(kind, chunks, &request)
                 .unwrap();
-        assert!((plain.total_time_ns - enforced.total_time_ns).abs() < 1.0);
+            let enforced =
+                PipelineSimulator::new(&topo, SimOptions::default().with_enforced_order(true))
+                    .run_kind(kind, chunks, &request)
+                    .unwrap();
+            assert!(!plain.op_log.is_empty());
+            assert_eq!(enforced, plain, "{} {kind}", preset.name());
+        }
+    }
+
+    #[test]
+    fn enforced_runs_are_linear_in_chunks() {
+        // Enforcing the order costs one more healthy run of the loop, so an
+        // enforced run takes about twice a plain one at any chunk count.
+        use std::time::{Duration, Instant};
+        let topo = PresetTopology::Sw2d.build();
+        let request = CollectiveRequest::all_reduce_mib(256.0);
+        let plain = PipelineSimulator::new(&topo, SimOptions::default());
+        let enforced =
+            PipelineSimulator::new(&topo, SimOptions::default().with_enforced_order(true));
+        for kind in [SchedulerKind::Baseline, SchedulerKind::ThemisScf] {
+            let mut best = [Duration::MAX; 2];
+            for _ in 0..3 {
+                for (sim, best) in [&plain, &enforced].into_iter().zip(&mut best) {
+                    let started = Instant::now();
+                    sim.run_kind(kind, 4096, &request).unwrap();
+                    *best = (*best).min(started.elapsed());
+                }
+            }
+            let [plain_best, enforced_best] = best;
+            assert!(
+                enforced_best <= plain_best * 5,
+                "{kind}: enforced {enforced_best:?} vs plain {plain_best:?}"
+            );
+        }
     }
 
     #[test]

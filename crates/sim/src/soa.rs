@@ -11,6 +11,9 @@
 //! lowest-occupied bucket) in the policy's `(cost, arrival)` order — pushes
 //! happen in global arrival order, so FIFO-within-bucket *is* arrival order,
 //! and ranks are assigned by `total_cmp` so bucket order *is* cost order.
+//! Enforced-order runs pick nothing: a dimension starts the next op of its
+//! enforced order once that op is ready, so their lanes only count ready
+//! ops, and every start is O(1) too.
 //!
 //! Nothing in this module touches the simulated floats: it re-packages the
 //! exact values the cost tables hold (`work_ns` is precomputed with the same
@@ -80,13 +83,6 @@ impl FifoVec {
         }
         Some(op)
     }
-
-    /// Removes and returns `op` if queued, preserving the order of the rest
-    /// (enforced-order lanes only — a linear search).
-    fn take(&mut self, op: u32) -> Option<u32> {
-        let position = self.items[self.head..].iter().position(|&o| o == op)?;
-        Some(self.items.remove(self.head + position))
-    }
 }
 
 /// Shape of one ready lane: how it picks its next op.
@@ -96,13 +92,14 @@ pub(crate) enum LaneKind {
     Fifo,
     /// Smallest-Chunk-First: cost-rank buckets with an occupancy bitmask.
     Scf,
-    /// Enforced-order runs: arrival-ordered queue with targeted removal.
-    Linear,
+    /// Enforced-order runs: the loop starts ops in the enforced order, so
+    /// the lane stores none and only counts its ready ops.
+    Counted,
 }
 
 /// One dimension's (or one collective-on-a-dimension's) ready ops, stored in
 /// the pop order of the owning run's policy: a queue for FIFO, calendar-style
-/// cost buckets for Smallest-Chunk-First.
+/// cost buckets for Smallest-Chunk-First, a bare count for enforced order.
 #[derive(Debug, Clone)]
 pub(crate) struct Lane {
     kind: LaneKind,
@@ -168,7 +165,8 @@ impl Lane {
     #[inline(always)]
     pub(crate) fn push(&mut self, op: u32, rank: u32) {
         match self.kind {
-            LaneKind::Fifo | LaneKind::Linear => self.fifo.push_back(op),
+            LaneKind::Fifo => self.fifo.push_back(op),
+            LaneKind::Counted => {}
             LaneKind::Scf => {
                 let rank = rank as usize;
                 self.buckets[rank].push_back(op);
@@ -184,7 +182,8 @@ impl Lane {
     #[inline(always)]
     pub(crate) fn pop(&mut self) -> Option<u32> {
         let op = match self.kind {
-            LaneKind::Fifo | LaneKind::Linear => self.fifo.pop_front()?,
+            LaneKind::Fifo => self.fifo.pop_front()?,
+            LaneKind::Counted => return None,
             LaneKind::Scf => {
                 let word = self.occupancy.iter().position(|&w| w != 0)?;
                 let rank = word * 64 + self.occupancy[word].trailing_zeros() as usize;
@@ -199,12 +198,12 @@ impl Lane {
         Some(op)
     }
 
-    /// Removes `op` out of turn (enforced-order lanes only).
-    pub(crate) fn take(&mut self, op: u32) -> Option<u32> {
-        debug_assert_eq!(self.kind, LaneKind::Linear);
-        let op = self.fifo.take(op)?;
+    /// Counts out one ready op of a counting lane, which the loop started
+    /// from the enforced order.
+    #[inline(always)]
+    pub(crate) fn count_out(&mut self) {
+        debug_assert!(self.kind == LaneKind::Counted && self.len > 0);
         self.len -= 1;
-        Some(op)
     }
 }
 
@@ -725,10 +724,8 @@ mod tests {
         }
         assert_eq!(fifo.len(), 5);
         assert_eq!(fifo.pop_front(), Some(0));
-        assert_eq!(fifo.take(3), Some(3));
-        assert_eq!(fifo.take(3), None);
         let rest: Vec<u32> = std::iter::from_fn(|| fifo.pop_front()).collect();
-        assert_eq!(rest, vec![1, 2, 4]);
+        assert_eq!(rest, vec![1, 2, 3, 4]);
         assert_eq!(fifo.len(), 0);
     }
 

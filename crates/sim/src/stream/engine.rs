@@ -17,6 +17,7 @@
 //! event loop in the crate; the differential suites check it against a plain
 //! reference loop kept in the test tree (`crates/sim/tests/oracle`).
 
+use crate::cancel::CancelToken;
 use crate::error::SimError;
 use crate::faults::FaultTimeline;
 use crate::options::SimOptions;
@@ -29,10 +30,8 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 use themis_collectives::CostModel;
 use themis_core::plan::{CostTable, CostTableCache};
-use themis_core::{
-    enforced_intra_dim_order, CollectiveSchedule, CollectiveScheduler, EnforcedOrder,
-    IntraDimPolicy,
-};
+use themis_core::telemetry::Registry;
+use themis_core::{CollectiveSchedule, CollectiveScheduler, IntraDimPolicy};
 use themis_net::NetworkTopology;
 
 /// Maximum number of zero-progress iterations tolerated before declaring the
@@ -439,8 +438,16 @@ impl Engine<'_> {
             }
             _ => None,
         };
-        let run =
-            self.run_fast::<false, _, _>(&[schedule], &[table], &[], timelines, memo, workspace)?;
+        let order = self.enforced_order(&[schedule], &[table], workspace.cancel.as_ref())?;
+        let run = self.run_fast::<false, _, _>(
+            &[schedule],
+            &[table],
+            &[],
+            timelines,
+            memo,
+            order,
+            workspace,
+        )?;
         Ok(self.collective_report(
             schedule,
             0.0,
@@ -463,7 +470,10 @@ impl Engine<'_> {
     ) -> Result<LoopRun, SimError> {
         let timelines = self.compile_faults(schedules, plan_cache)?;
         let memo = timelines.is_none().then_some((schedules, tables));
-        self.run_fast::<true, _, _>(schedules, tables, issue_ns, timelines, memo, workspace)
+        let order = self.enforced_order(schedules, tables, workspace.cancel.as_ref())?;
+        self.run_fast::<true, _, _>(
+            schedules, tables, issue_ns, timelines, memo, order, workspace,
+        )
     }
 
     /// Compiles the fault plan once per collective — cost tables are
@@ -490,19 +500,59 @@ impl Engine<'_> {
             .map(Some)
     }
 
-    /// The Sec. 4.6.2 enforced intra-dimension order of every collective,
-    /// or none when enforcement is off.
-    fn enforced_orders<S: Borrow<CollectiveSchedule>>(
+    /// The Sec. 4.6.2 enforced intra-dimension order, or none when
+    /// enforcement is off: for every collective and dimension
+    /// (collective-major), the run's op ids in the order that collective's
+    /// healthy run started them there, reversed so the next op to start is
+    /// the last. That run is this loop on the collective alone from t = 0,
+    /// one op per dimension at a time, without faults or enforcement, so its
+    /// per-dimension completion order is its start order. It runs in a
+    /// scratch workspace that polls `cancel` and flushes no telemetry: the
+    /// enforced run counts as one run.
+    fn enforced_order<S, T>(
         &self,
         schedules: &[S],
-    ) -> Result<Vec<EnforcedOrder>, SimError> {
+        tables: &[T],
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<Vec<u32>>, SimError>
+    where
+        S: Borrow<CollectiveSchedule>,
+        T: Borrow<CostTable>,
+    {
         if !self.options.enforce_intra_dim_order {
             return Ok(Vec::new());
         }
-        schedules
-            .iter()
-            .map(|schedule| Ok(enforced_intra_dim_order(schedule.borrow(), self.topo)?))
-            .collect()
+        // The defaults: concurrency 1, op log on, no faults, no enforcement.
+        let options = SimOptions::default();
+        let healthy = Engine {
+            options: &options,
+            ..*self
+        };
+        let registry = Registry::new();
+        registry.set_enabled(false);
+        let mut scratch = SimWorkspace::with_telemetry(registry);
+        scratch.cancel = cancel.cloned();
+        let num_dims = self.topo.num_dims();
+        let mut order = vec![Vec::new(); schedules.len() * num_dims];
+        let mut base = 0;
+        for (coll, (schedule, table)) in schedules.iter().zip(tables).enumerate() {
+            let table = table.borrow();
+            healthy.run_fast::<false, _, _>(
+                &[schedule.borrow()],
+                &[table],
+                &[],
+                None,
+                None,
+                Vec::new(),
+                &mut scratch,
+            )?;
+            for raw in scratch.raw_ops.iter().rev() {
+                let op = base + table.offsets()[raw.chunk] + raw.stage;
+                order[coll * num_dims + raw.dim].push(op as u32);
+            }
+            base += table.num_ops();
+        }
+        Ok(order)
     }
 
     /// A collective's own report, in the time frame that starts at
@@ -562,7 +612,10 @@ impl Engine<'_> {
     /// values as in the test tree's reference loop, so reports are
     /// bit-identical to it (enforced by the `differential` and
     /// `engine_equivalence` suites).
-    #[allow(clippy::too_many_lines)]
+    ///
+    /// A non-empty `order` ([`Engine::enforced_order`]) is enforced: each
+    /// dimension starts its next op from it instead of popping its lane.
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn run_fast<const MULTI: bool, S, T>(
         &self,
         schedules: &[S],
@@ -570,6 +623,7 @@ impl Engine<'_> {
         issue_ns: &[f64],
         timelines: Option<Vec<FaultTimeline>>,
         memo: Option<PlanArcs<'_>>,
+        mut order: Vec<Vec<u32>>,
         workspace: &mut SimWorkspace,
     ) -> Result<LoopRun, SimError>
     where
@@ -584,7 +638,6 @@ impl Engine<'_> {
         debug_assert!(MULTI || num_colls == 1, "one collective per single run");
         let max_active = self.options.max_concurrent_ops_per_dim;
         let record_op_log = self.options.record_op_log;
-        let enforced = self.enforced_orders(schedules)?;
         let mut dims = DimReport::for_topology(self.topo);
         let mut colls: Vec<CollState> = if MULTI {
             schedules
@@ -619,7 +672,6 @@ impl Engine<'_> {
             ready,
             last_busy_end,
             raw_ops,
-            order_ptr,
             accounts,
             telemetry,
             depth_scratch,
@@ -638,10 +690,14 @@ impl Engine<'_> {
                 ops
             }
         };
+        // Enforced runs: `done[op]` once `op` completed. The next op of an
+        // order is ready when it is its chunk's first stage (its collective
+        // owns the dimension, so it is admitted) or the op before it, its
+        // chunk's previous stage, is done.
+        let mut done = vec![false; if order.is_empty() { 0 } else { matrix.num_ops }];
         for (coll, schedule) in schedules.iter().enumerate() {
-            let kind = if !enforced.is_empty() {
-                // Enforced runs need targeted removal in arrival order.
-                LaneKind::Linear
+            let kind = if !order.is_empty() {
+                LaneKind::Counted
             } else if schedule.borrow().intra_dim_policy() == IntraDimPolicy::SmallestChunkFirst {
                 LaneKind::Scf
             } else {
@@ -769,28 +825,23 @@ impl Engine<'_> {
                         // letting a later collective in ahead of it.
                         break;
                     }
-                    let op = if enforced.is_empty() {
+                    let op = if order.is_empty() {
                         // The lane is policy-ordered: the pop *is* the
                         // FIFO/SCF pick.
                         lane.pop().expect("ready lane is non-empty")
                     } else {
-                        let cursor = &mut order_ptr[coll * num_dims + dim];
-                        let Some(&(chunk, stage)) = enforced[coll].for_dim(dim).get(*cursor) else {
+                        // The dimension starts the enforced order's next op
+                        // once it is ready, and waits for it rather than run
+                        // another op out of turn.
+                        let next = &mut order[coll * num_dims + dim];
+                        let op = *next.last().expect("a ready op is still to start");
+                        let opx = op as usize;
+                        if matrix.stage[opx] != 0 && !done[opx - 1] {
                             break;
-                        };
-                        let target = matrix.coll_base[coll] as usize
-                            + tables[coll].borrow().offsets()[chunk]
-                            + stage;
-                        match lane.take(target as u32) {
-                            Some(op) => {
-                                *cursor += 1;
-                                op
-                            }
-                            // The next op in the enforced order is not ready
-                            // yet: the dimension waits for it rather than
-                            // running another op out of turn.
-                            None => break,
                         }
+                        next.pop();
+                        lane.count_out();
+                        op
                     };
                     if MULTI {
                         ready.pop(dim, coll, lane.is_empty());
@@ -837,8 +888,8 @@ impl Engine<'_> {
                 // Nothing is executing: jump across the idle gap to the next
                 // event — an admission or a fault boundary (e.g. the recovery
                 // of a failed dimension holding every ready op) — or, with
-                // neither left, declare a stall (e.g. an enforced-order
-                // deadlock or a permanent link failure).
+                // neither left, declare a stall (a permanent link failure;
+                // the enforced order cannot deadlock, a healthy run took it).
                 match next_event(next_admission, next_fault) {
                     Some((at, is_fault)) => {
                         now = at.max(now);
@@ -967,6 +1018,9 @@ impl Engine<'_> {
                 }
                 last_busy_end[dim] = now;
                 outstanding -= 1;
+                if !done.is_empty() {
+                    done[opx] = true;
+                }
                 // The successor is the next dense op id; its SCF rank prices
                 // against the post-boundary epoch, like the reference loop.
                 if !matrix.last_stage[opx] {
@@ -1458,7 +1512,7 @@ mod tests {
     }
 
     #[test]
-    fn enforced_intra_dim_order_is_respected_per_collective() {
+    fn enforced_order_is_respected_per_collective() {
         let topo = PresetTopology::SwSwSw3dHetero.build();
         let entries = vec![entry("a", 0.0, 128.0), entry("b", 0.0, 128.0)];
         let enforced = run_stream(
@@ -1467,10 +1521,11 @@ mod tests {
             &entries,
         );
         let plain = run_stream(&topo, SimOptions::default(), &entries);
-        // Enforcement pins each collective to its pre-simulated op order, so
-        // dimensions may wait where the free-running engine would overlap more
-        // aggressively — the run must still complete, move the same bytes and
-        // beat (or match) the enforced sequential policy.
+        // Enforcement pins each collective to the op order its healthy run
+        // alone takes, so dimensions may wait where the free-running engine
+        // would overlap more aggressively — the run must still complete,
+        // move the same bytes and beat (or match) the enforced sequential
+        // policy.
         assert_eq!(enforced.spans.len(), 2);
         for (e, p) in enforced.dims.iter().zip(plain.dims.iter()) {
             assert!((e.wire_bytes - p.wire_bytes).abs() < 1.0);

@@ -175,8 +175,6 @@ pub struct SimWorkspace {
     pub(crate) last_busy_end: Vec<f64>,
     /// Single-collective runs: the executed ops, for the op log.
     pub(crate) raw_ops: Vec<RawOp>,
-    /// Enforced-order cursor per collective × dimension, collective-major.
-    pub(crate) order_ptr: Vec<usize>,
     /// Merged runs: per-collective segment accounting scratch.
     pub(crate) accounts: stream_engine::CollAccounts,
     // --- telemetry ---
@@ -268,8 +266,6 @@ impl SimWorkspace {
         self.last_busy_end.resize(num_dims, f64::NEG_INFINITY);
         self.completions.clear();
         self.raw_ops.clear();
-        self.order_ptr.clear();
-        self.order_ptr.resize(num_dims * num_colls, 0);
         if multi {
             self.ready.reset(num_dims);
             self.accounts.reset(num_colls);

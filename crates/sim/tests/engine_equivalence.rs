@@ -128,3 +128,30 @@ fn a_schedule_without_chunks_matches_the_reference_engine() {
     assert_eq!(reference.total_time_ns, 0.0);
     assert_eq!(fast, reference);
 }
+
+#[test]
+fn the_enforced_order_matches_the_reference_engine_at_a_near_tie() {
+    // On this cell dim 2 starts two 35.84 ns ops whose predecessors end at
+    // the same instant. Both loops must enforce the order their own healthy
+    // run takes, whatever else the run does.
+    let topo = PresetTopology::RingSwSwSw4d.build();
+    let request = CollectiveRequest::all_reduce_mib(64.0);
+    let schedule = BaselineScheduler::new(1024)
+        .schedule(&request, &topo)
+        .unwrap();
+    let healthy = oracle::run(&topo, &SimOptions::default(), &schedule).unwrap();
+    let enforced = SimOptions::default().with_enforced_order(true);
+    let degrade = FaultPlan::new().degrade(healthy.total_time_ns * 0.5, 2, 0.5);
+    for options in [
+        enforced.clone(),
+        enforced.clone().with_max_concurrent_ops(2),
+        enforced.with_faults(degrade),
+    ] {
+        let fast = PipelineSimulator::new(&topo, options.clone())
+            .run(&schedule)
+            .unwrap();
+        let reference = oracle::run(&topo, &options, &schedule).unwrap();
+        assert!(!reference.op_log.is_empty());
+        assert_eq!(fast, reference, "{options:?}");
+    }
+}

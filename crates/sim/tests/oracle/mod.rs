@@ -6,7 +6,8 @@
 //! ops in one arrival-ordered `Vec`; the intra-dimension pick is the
 //! policy's own linear scan (`IntraDimPolicy::pick`) over the ops of the
 //! collective that owns the dimension, or a search for the next op of the
-//! enforced order. Vacancy, per-segment busy and presence accounting and
+//! enforced order, which it takes from its own healthy run of the
+//! collective. Vacancy, per-segment busy and presence accounting and
 //! report assembly are all its own, and it has no workspace, telemetry or
 //! cancellation. It is written to be read, not to be fast.
 //!
@@ -20,6 +21,10 @@
 //! * a dimension serves the earliest admitted collective that still has
 //!   uncompleted ops on it, and waits for that collective's next op rather
 //!   than letting a later one in;
+//! * with the order enforced, a dimension starts each collective's ops in
+//!   the order the collective's healthy run — alone from t = 0, one op per
+//!   dimension at a time, no faults — started them there, and waits for the
+//!   next one rather than run another out of turn;
 //! * ops are priced by the fault epoch they are issued in (SCF keys by the
 //!   epoch they become ready in), failed dimensions issue nothing, and no
 //!   step crosses an admission or a fault boundary;
@@ -28,9 +33,7 @@
 
 use themis_collectives::CostModel;
 use themis_core::plan::{CostTable, OpCost};
-use themis_core::{
-    enforced_intra_dim_order, CollectiveSchedule, CollectiveScheduler, EnforcedOrder,
-};
+use themis_core::{CollectiveSchedule, CollectiveScheduler};
 use themis_net::NetworkTopology;
 use themis_sim::stats::OpRecord;
 use themis_sim::{
@@ -334,14 +337,21 @@ fn simulate<'a>(
             })
             .collect::<Result<Vec<_>, _>>()?
     };
-    let orders: Vec<EnforcedOrder> = if options.enforce_intra_dim_order {
-        cells
-            .iter()
-            .map(|(schedule, _)| enforced_intra_dim_order(schedule, topo))
-            .collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
+    // The enforced order (Sec. 4.6.2): per collective and dimension, the
+    // `(chunk, stage)` ops in the order the collective's healthy run started
+    // them there — this loop on the collective alone, one op per dimension
+    // at a time, no faults, nothing enforced.
+    let mut orders: Vec<Vec<Vec<(usize, usize)>>> = Vec::new();
+    if options.enforce_intra_dim_order {
+        for &cell in cells {
+            let healthy = simulate(topo, &SimOptions::default(), &[cell], &[0.0])?;
+            let mut order = vec![Vec::new(); num_dims];
+            for op in &healthy.colls[0].ops {
+                order[op.dim].push((op.chunk, op.stage));
+            }
+            orders.push(order);
+        }
+    }
     let mut colls: Vec<Coll> = cells
         .iter()
         .zip(issue_ns)
@@ -442,7 +452,7 @@ fn simulate<'a>(
                     candidates[policy.pick(&keys).expect("candidates are non-empty")]
                 } else {
                     let cursor = colls[owner].cursor[dim];
-                    let Some(&(chunk, stage)) = orders[owner].for_dim(dim).get(cursor) else {
+                    let Some(&(chunk, stage)) = orders[owner][dim].get(cursor) else {
                         break;
                     };
                     let Some(&index) = candidates.iter().find(|&&i| {

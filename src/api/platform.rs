@@ -56,8 +56,8 @@ impl Platform {
         self
     }
 
-    /// Convenience: toggles intra-dimension order enforcement (Sec. 4.6.2)
-    /// on the current options.
+    /// Convenience: toggles intra-dimension order enforcement (Sec. 4.6.2,
+    /// [`SimOptions::enforce_intra_dim_order`]) on the current options.
     #[must_use]
     pub fn with_enforced_order(mut self, enforce: bool) -> Self {
         self.options = self.options.with_enforced_order(enforce);

@@ -752,6 +752,55 @@ fn zero_deadline_requests_time_out_with_structured_status() {
 }
 
 #[test]
+fn an_enforced_cell_honours_its_deadline() {
+    use std::time::{Duration, Instant};
+    // Deriving the enforced order runs the event loop, which polls the
+    // request's deadline: a large enforced cell times out at once.
+    let specs = Campaign::new()
+        .topologies([PresetTopology::Sw2d])
+        .schedulers([SchedulerKind::ThemisScf])
+        .sizes_mib([256.0])
+        .chunk_counts([16_384])
+        .sim_options(
+            SimOptions::default()
+                .with_enforced_order(true)
+                .with_op_log(false),
+        )
+        .expand()
+        .unwrap();
+    let service = Service::default();
+    let started = Instant::now();
+    let response = Json::parse(&service.handle_line(&request(
+        1,
+        "campaign",
+        vec![
+            ("cells", campaign_cells_to_json(&specs)),
+            ("deadline_ms", Json::Num(0.0)),
+        ],
+    )))
+    .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        response.field("status").unwrap().as_str().unwrap(),
+        "timeout"
+    );
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "timed out after {elapsed:?}"
+    );
+    assert_eq!(service.telemetry().snapshot().counter("serve.timeouts"), 1);
+
+    let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
+    let response = parse_ok(&service.handle_line(&request(
+        2,
+        "campaign",
+        vec![("cells", campaign_cells_to_json(&specs))],
+    )));
+    let report = CampaignReport::from_json(&response.field("result").unwrap().render()).unwrap();
+    assert_eq!(report, reference);
+}
+
+#[test]
 fn deadlines_too_far_out_to_represent_are_no_deadline() {
     let specs = campaign_specs();
     let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());

@@ -87,6 +87,35 @@ fn workspace_telemetry_records_runs_phases_and_dim_counters() {
 }
 
 #[test]
+fn an_enforced_run_counts_as_one_run() {
+    // The healthy run that derives the enforced order flushes nothing: the
+    // registry sees each enforced run once and each of its ops once.
+    let platform = platform().with_enforced_order(true);
+    let registry = Registry::new();
+    let mut workspace = SimWorkspace::with_telemetry(registry.clone());
+    let plan = SimPlanCache::new();
+    let single = job().run_planned(&platform, &plan, &mut workspace).unwrap();
+    let stream = stream_job()
+        .run_planned(&platform, &plan, &mut workspace)
+        .unwrap();
+
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("sim.runs"), 2);
+    for (dim, (one, many)) in single
+        .report
+        .dims
+        .iter()
+        .zip(&stream.report.dims)
+        .enumerate()
+    {
+        assert_eq!(
+            snapshot.counter(&format!("sim.dim{dim}.ops")),
+            (one.ops_executed + many.ops_executed) as u64
+        );
+    }
+}
+
+#[test]
 fn service_answers_metrics_with_counters_and_prometheus_text() {
     let specs = Campaign::new()
         .topologies([PresetTopology::Sw2d])
